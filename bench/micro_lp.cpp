@@ -4,7 +4,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <random>
 #include <vector>
 
@@ -19,6 +18,13 @@
 namespace {
 
 using namespace coyote;
+
+/// Engine options for a benchmark arm: arg 0 runs cold, arg 1 warm.
+lp::SimplexOptions armOptions(const benchmark::State& state) {
+  lp::SimplexOptions opt;
+  opt.cold = state.range(0) == 0;
+  return opt;
+}
 
 void BM_OptuDagRestricted(benchmark::State& state) {
   const auto names = topo::zooNames();
@@ -76,17 +82,16 @@ BENCHMARK(BM_SlaveLpAllEdgesAbilene)->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
 void BM_OptuDecompVsMonolithic(benchmark::State& state) {
-  // Fresh-template cold OPTU on GEANT: arg 1 runs the block-angular
-  // pre-solve + crossover before the monolithic simplex, arg 0 the
-  // plain cold phase-1 path (COYOTE_LP_DECOMP=0). Answers are
+  // Fresh-template OPTU on GEANT: arg 1 runs the block-angular
+  // pre-solve + crossover before the monolithic simplex, arg 0 a cold
+  // engine (plain all-logical phase-1 path, no pre-solve). Answers are
   // cross-checked against each other through a shared reference.
   const Graph g = topo::makeZoo("Geant");
   const auto dags = core::augmentedDagsShared(g);
   const tm::TrafficMatrix d = tm::gravityMatrix(g, 1.0);
   const double reference = routing::optimalUtilization(g, *dags, d);
-  setenv("COYOTE_LP_DECOMP", state.range(0) != 0 ? "1" : "0", 1);
   for (auto _ : state) {
-    routing::OptuEngine engine(g, dags);
+    routing::OptuEngine engine(g, dags, armOptions(state));
     const double u = engine.utilization(d);
     if (std::abs(u - reference) > 1e-9 * (1.0 + reference)) {
       state.SkipWithError("decomposed answer diverged from monolithic");
@@ -94,7 +99,6 @@ void BM_OptuDecompVsMonolithic(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(u);
   }
-  unsetenv("COYOTE_LP_DECOMP");
   state.SetLabel(state.range(0) != 0 ? "decomposed" : "monolithic");
 }
 BENCHMARK(BM_OptuDecompVsMonolithic)
@@ -107,8 +111,9 @@ void BM_DualVsPrimalWarmChain(benchmark::State& state) {
   // resident engine re-solves the same demand while single edges fail
   // and restore, each toggle a bounds mutation that leaves the retained
   // basis dual-feasible but primal-infeasible. Arg 1 lets the dual
-  // simplex repair it; arg 0 forces the composite primal phase 1
-  // (COYOTE_LP_DUAL=0). Every answer is cross-checked cold.
+  // simplex repair it; arg 0 runs a cold engine, which re-solves every
+  // step through the composite primal phase 1 from the all-logical
+  // basis. Every answer is cross-checked against a reference chain.
   const Graph g = topo::makeZoo("Geant");
   const auto dags = core::augmentedDagsShared(g);
   const tm::TrafficMatrix d = tm::gravityMatrix(g, 1.0);
@@ -132,8 +137,7 @@ void BM_DualVsPrimalWarmChain(benchmark::State& state) {
       }
     }
   }
-  setenv("COYOTE_LP_DUAL", state.range(0) != 0 ? "1" : "0", 1);
-  routing::OptuEngine engine(g, dags);
+  routing::OptuEngine engine(g, dags, armOptions(state));
   std::size_t i = 0;
   for (auto _ : state) {
     const std::size_t k = i++ % chain.size();
@@ -145,8 +149,7 @@ void BM_DualVsPrimalWarmChain(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(u);
   }
-  unsetenv("COYOTE_LP_DUAL");
-  state.SetLabel(state.range(0) != 0 ? "dual" : "primal-only");
+  state.SetLabel(state.range(0) != 0 ? "dual" : "cold");
 }
 BENCHMARK(BM_DualVsPrimalWarmChain)->Arg(0)->Arg(1);
 

@@ -25,7 +25,6 @@
 #include "sim/fluid.hpp"
 #include "topo/generator.hpp"
 #include "topo/zoo.hpp"
-#include "util/env.hpp"
 #include "util/mem.hpp"
 #include "util/require.hpp"
 #include "util/thread_pool.hpp"
@@ -189,23 +188,25 @@ KindOutput runLocalSearch(const Scenario& s, const RunOptions& opt,
     for (EdgeId e = 0; e < g.numEdges(); ++e) g.setWeight(e, found.weights[e]);
     const auto dags = core::augmentedDagsShared(g);
 
-    routing::PerformanceEvaluator pool(g, dags);
+    const lp::SimplexOptions& lp = s.sweep.coyote.lp;
+    routing::PerformanceEvaluator pool(g, dags, lp);
     tm::PoolOptions popt;
     popt.source_hotspots = false;
     popt.random_corners = 6;
     pool.addPool(tm::cornerPool(box, popt));
 
     core::CoyoteOptions copt;
+    copt.lp = lp;
     copt.splitting.iterations = 300;
     copt.oracle_rounds = 2;  // Abilene-scale: exact cutting planes are cheap
     const core::CoyoteResult pk_res =
         core::optimizeAgainstPool(g, pool, &box, copt);
     // Exact within-box worst case for both schemes (one slave LP per edge).
     const double ecmp =
-        routing::findWorstCaseDemand(g, routing::ecmpConfig(g, dags), &box)
+        routing::findWorstCaseDemand(g, routing::ecmpConfig(g, dags), &box, lp)
             .ratio;
     const double pk =
-        routing::findWorstCaseDemand(g, pk_res.routing, &box).ratio;
+        routing::findWorstCaseDemand(g, pk_res.routing, &box, lp).ratio;
 
     if (print) {
       std::printf("%-8.1f %-8.2f %-12.2f %-8d %-10.2f\n", margin, ecmp, pk,
@@ -261,7 +262,7 @@ KindOutput runQuantization(const Scenario& s, const RunOptions& opt,
 
   for (const double margin : s.grid(opt.full)) {
     const tm::DemandBounds box = tm::marginBounds(base, margin);
-    routing::PerformanceEvaluator pool(g, dags);
+    routing::PerformanceEvaluator pool(g, dags, s.sweep.coyote.lp);
     pool.addPool(tm::cornerPool(box, s.sweep.pool));
 
     const double ecmp = pool.ratioFor(routing::ecmpConfig(g, dags));
@@ -482,16 +483,16 @@ KindOutput runDagAug(const Scenario& s, const RunOptions& opt, bool print) {
     const core::CoyoteOptions& copt = s.sweep.coyote;
 
     // Shared evaluation pool (normalized within the augmented DAGs).
-    routing::PerformanceEvaluator eval(g, aug);
+    routing::PerformanceEvaluator eval(g, aug, copt.lp);
     eval.addPool(tm::cornerPool(box, popt));
 
     // COYOTE over shortest-path DAGs only.
-    routing::PerformanceEvaluator sp_pool(g, sp);
+    routing::PerformanceEvaluator sp_pool(g, sp, copt.lp);
     sp_pool.addPool(tm::cornerPool(box, popt));
     const auto sp_cfg = core::optimizeAgainstPool(g, sp_pool, &box, copt);
 
     // COYOTE over augmented DAGs.
-    routing::PerformanceEvaluator aug_pool(g, aug);
+    routing::PerformanceEvaluator aug_pool(g, aug, copt.lp);
     aug_pool.addPool(tm::cornerPool(box, popt));
     const auto aug_cfg = core::optimizeAgainstPool(g, aug_pool, &box, copt);
 
@@ -536,7 +537,7 @@ double optimizerRunOnce(const Graph& g,
   return eval.ratioFor(cfg);
 }
 
-KindOutput runOptimizer(const Scenario&, const RunOptions&, bool print) {
+KindOutput runOptimizer(const Scenario& s, const RunOptions&, bool print) {
   KindOutput out;
   if (print) {
     std::printf("# inner-optimizer ablation: pool ratio vs iterations\n");
@@ -562,7 +563,7 @@ KindOutput runOptimizer(const Scenario&, const RunOptions&, bool print) {
   {  // Running example: optimum is sqrt(5)-1 ~ 1.2361.
     const Graph g = topo::runningExample();
     const auto dags = core::augmentedDagsShared(g);
-    routing::PerformanceEvaluator eval(g, dags);
+    routing::PerformanceEvaluator eval(g, dags, s.sweep.coyote.lp);
     tm::TrafficMatrix d1(g.numNodes()), d2(g.numNodes());
     d1.set(*g.findNode("s1"), *g.findNode("t"), 2.0);
     d2.set(*g.findNode("s2"), *g.findNode("t"), 2.0);
@@ -584,7 +585,7 @@ KindOutput runOptimizer(const Scenario&, const RunOptions&, bool print) {
   {  // Abilene, margin-2 corner pool.
     const Graph g = topo::makeZoo("Abilene");
     const auto dags = core::augmentedDagsShared(g);
-    routing::PerformanceEvaluator eval(g, dags);
+    routing::PerformanceEvaluator eval(g, dags, s.sweep.coyote.lp);
     tm::PoolOptions popt;
     popt.source_hotspots = false;
     popt.random_corners = 4;
@@ -603,7 +604,7 @@ KindOutput runOptimizer(const Scenario&, const RunOptions&, bool print) {
 
 // --- kHardness --------------------------------------------------------
 
-KindOutput runHardness(const Scenario&, const RunOptions&, bool print) {
+KindOutput runHardness(const Scenario& s, const RunOptions&, bool print) {
   KindOutput out;
   if (print) {
     std::printf("# BIPARTITION reduction (Theorem 1 / Lemmas 2-3)\n");
@@ -629,7 +630,8 @@ KindOutput runHardness(const Scenario&, const RunOptions&, bool print) {
       for (int i = 0; i < k; ++i) orient[i] = (mask >> i) & 1;
       const auto dags = hardness::bipartitionDags(inst, orient);
       routing::PerformanceEvaluator eval(
-          inst.graph, dags, {}, routing::Normalization::kUnrestricted);
+          inst.graph, dags, s.sweep.coyote.lp,
+          routing::Normalization::kUnrestricted);
       eval.addMatrix(d1);
       eval.addMatrix(d2);
       core::SplittingOptions sopt;
@@ -666,8 +668,8 @@ KindOutput runHardness(const Scenario&, const RunOptions&, bool print) {
     double worst = 0.0;
     for (const auto& d : hardness::pathDemands(inst)) {
       const double mxlu = routing::maxLinkUtilization(inst.graph, direct, d);
-      const double optu =
-          routing::optimalUtilizationUnrestricted(inst.graph, d);
+      const double optu = routing::optimalUtilizationUnrestricted(
+          inst.graph, d, s.sweep.coyote.lp);
       worst = std::max(worst, mxlu / optu);
     }
     if (print) {
@@ -1012,7 +1014,13 @@ KindOutput runScaling(const Scenario& s, const RunOptions& opt, bool print) {
   return out;
 }
 
-KindOutput runKind(const Scenario& s, const RunOptions& opt, bool print) {
+KindOutput runKind(const Scenario& scenario, const RunOptions& opt,
+                   bool print) {
+  // The run's cold setting reaches every LP through the scenario's
+  // CoyoteOptions::lp: the sweeps, failure and serve kinds read it there,
+  // and the direct evaluator/oracle calls pass s.sweep.coyote.lp.
+  Scenario s = scenario;
+  s.sweep.coyote.lp.cold = opt.lp_cold;
   switch (s.kind) {
     case ScenarioKind::kSchemes:
       return runSchemes(s, opt, print);
@@ -1041,25 +1049,6 @@ KindOutput runKind(const Scenario& s, const RunOptions& opt, bool print) {
   }
   require(false, "unknown scenario kind");
   return {};  // unreachable
-}
-
-// Matches the trailing line of the pre-registry bench binaries: the
-// margin-sweep binaries echoed the COYOTE_FULL flag, the rest did not,
-// and fig12 printed no elapsed line at all.
-void printElapsed(const Scenario& s, const RunOptions& opt, double seconds) {
-  switch (s.kind) {
-    case ScenarioKind::kPrototype:
-      return;
-    case ScenarioKind::kSchemes:
-    case ScenarioKind::kTable:
-    case ScenarioKind::kStretch:
-      std::printf("# elapsed: %.1fs (COYOTE_FULL=%d)\n", seconds,
-                  opt.full ? 1 : 0);
-      return;
-    default:
-      std::printf("# elapsed: %.1fs\n", seconds);
-      return;
-  }
 }
 
 }  // namespace
@@ -1113,7 +1102,7 @@ ScenarioResult ExperimentRunner::run(const Scenario& s) const {
     const double elapsed = timer.elapsedSeconds();
     lp_delta = lp::statsSnapshot() - lp_before;
     last_elapsed = elapsed;
-    if (print) printElapsed(s, opt_, elapsed);
+    if (print) std::printf("# elapsed: %.1fs\n", elapsed);
     if (rep >= warmup) result.seconds.push_back(elapsed);
   }
   result.ok = output.ok;
@@ -1269,20 +1258,6 @@ int ExperimentRunner::runAll(
     }
   }
   return failures;
-}
-
-int runScenarioShim(const std::string& id) {
-  const Scenario* s = ScenarioRegistry::global().find(id);
-  if (s == nullptr) {
-    std::fprintf(stderr, "unknown scenario: %s\n", id.c_str());
-    return 1;
-  }
-  RunOptions opt;
-  opt.full = util::envFlag("COYOTE_FULL");
-  opt.exact = util::envFlag("COYOTE_EXACT");
-  opt.json_dir = util::envString("COYOTE_JSON_DIR");
-  const ExperimentRunner runner(opt);
-  return runner.runAll({s}) == 0 ? 0 : 1;
 }
 
 }  // namespace coyote::exp

@@ -6,8 +6,7 @@
 // combinations the per-figure binaries never reached (all Zoo topologies
 // under gravity/bimodal/uniform base demands, synthetic topologies from
 // topo::generator). The ExperimentRunner (runner.hpp) executes scenarios;
-// the per-figure bench binaries are thin shims over it, so `bench_fig06...`
-// and `coyote_experiments --run fig06` produce identical rows.
+// `coyote_experiments` is its command-line front end.
 #pragma once
 
 #include <cstdint>
@@ -120,11 +119,11 @@ struct Scenario {
   TopologySpec topology;   ///< single-network kinds
   DemandSpec demand;
   std::vector<double> margins;       ///< quick margin grid
-  std::vector<double> full_margins;  ///< --full / COYOTE_FULL grid
+  std::vector<double> full_margins;  ///< RunOptions::full grid
   SweepOptions sweep;
 
-  /// COYOTE_EXACT / --exact also switches the exact whole-box evaluation
-  /// on (Table I behavior), not just the oracle cutting planes.
+  /// RunOptions::exact also switches the exact whole-box evaluation on
+  /// (Table I behavior), not just the oracle cutting planes.
   bool exact_env_upgrades_eval = false;
   /// Networks with <= `exact_node_limit` nodes use the exact slave-LP
   /// adversary for evaluation and the oracle (Table I's '+' rows); 0 = off.
@@ -145,7 +144,7 @@ struct Scenario {
   /// kScaling: the size ladder, smallest rung first. Each rung runs the
   /// full scheme set at fixed_margin and reports nodes/edges/ratios plus
   /// optimize-time, peak-RSS and lp-pivot curves. `topology` mirrors the
-  /// smallest rung so single-topology consumers (tests, shims) stay cheap.
+  /// smallest rung so single-topology consumers (tests) stay cheap.
   std::vector<TopologySpec> ladder;
 
   core::LocalSearchOptions local_search;  ///< kLocalSearch

@@ -13,8 +13,7 @@
 //    by the ratio test (nonbasic variables rest at either bound and may
 //    bound-flip), not by materializing extra rows;
 //  * devex reference-framework pricing with candidate-list partial pricing
-//    (Dantzig full scans remain behind COYOTE_LP_PRICING=dantzig; Bland's
-//    rule is the anti-cycling fallback for both);
+//    (Bland's rule is the anti-cycling fallback);
 //  * a Harris-style two-pass ratio test with a bounded tolerance-expansion
 //    degeneracy perturbation, and a piecewise-linear long-step variant for
 //    the composite phase 1;
@@ -108,23 +107,6 @@ class LpProblem {
   std::vector<double> rhs_;
 };
 
-/// Entering-variable pricing rule. Devex (reference-framework weights with
-/// candidate-list partial pricing) is the default; Dantzig (full most-
-/// negative-reduced-cost scans, the pre-devex behavior) remains as an
-/// escape hatch. Bland's rule is the anti-cycling fallback for both.
-enum class Pricing { kDevex, kDantzig };
-
-/// Pricing selected by the COYOTE_LP_PRICING env knob ("devex" | "dantzig");
-/// devex when unset or unrecognized.
-[[nodiscard]] Pricing defaultPricing();
-
-/// Dual-simplex availability from the COYOTE_LP_DUAL env knob: enabled
-/// unless set to "0". When enabled, solve() runs the bounded-variable dual
-/// simplex instead of the composite primal phase 1 whenever the retained
-/// warm basis is primal-infeasible but still dual-feasible -- the common
-/// state after setRhs/setBounds mutation chains on an optimal basis.
-[[nodiscard]] bool defaultDualSimplex();
-
 struct SimplexOptions {
   int max_iterations = 200000;
   /// Refactorize the LU basis factorization after this many Forrest-Tomlin
@@ -135,12 +117,10 @@ struct SimplexOptions {
   int stall_limit = 2000;
   double feas_tol = 1e-7;
   double opt_tol = 1e-8;
-  /// Entering rule; defaults from the COYOTE_LP_PRICING env knob.
-  Pricing pricing = defaultPricing();
-  /// Allow the dual simplex on warm primal-infeasible / dual-feasible
-  /// bases; defaults from the COYOTE_LP_DUAL env knob (see
-  /// defaultDualSimplex). The escape hatch for A/B measurement.
-  bool dual_simplex = defaultDualSimplex();
+  /// Every solve() starts from the all-logical basis: no warm start, so no
+  /// dual simplex either. A measurement and debugging mode -- the pivot
+  /// delta between a cold and a default run is the warm-start payoff.
+  bool cold = false;
 };
 
 /// A simplex basis: one status entry per column (structural variables
@@ -209,7 +189,9 @@ class SimplexSolver {
   ~SimplexSolver();
 
   /// Solves from the retained basis (cold all-logical basis on the first
-  /// call or after setBasis({})). Updates the retained basis on success.
+  /// call, after setBasis({}), or always under SimplexOptions::cold).
+  /// A warm basis that lost primal but kept dual feasibility is repaired
+  /// by the dual simplex. Updates the retained basis on success.
   [[nodiscard]] LpResult solve();
 
   // --- mutations (retained basis survives; next solve() warm-starts) ---

@@ -5,7 +5,6 @@
 #include "lp/basis.hpp"
 #include "lp/lp.hpp"
 #include "lp/stats.hpp"
-#include "util/env.hpp"
 #include "util/timer.hpp"
 
 namespace coyote::lp {
@@ -19,15 +18,6 @@ std::string toString(Status s) {
   }
   ensure(false, "lp::toString: invalid Status value");
   return {};  // unreachable
-}
-
-Pricing defaultPricing() {
-  return util::envString("COYOTE_LP_PRICING") == "dantzig" ? Pricing::kDantzig
-                                                           : Pricing::kDevex;
-}
-
-bool defaultDualSimplex() {
-  return util::envString("COYOTE_LP_DUAL", "1") != "0";
 }
 
 int LpProblem::addVar(double obj, double lb, double ub, std::string name) {
@@ -212,6 +202,7 @@ class SimplexSolver::Impl {
   LpResult solve() {
     require(n_ > 0, "LP has no variables");
     const util::Timer timer;
+    if (opt_.cold) resetBasisCold();
     LpResult res;
     res.status = run(res.stats);
     res.iterations = res.stats.iterations;
@@ -1103,7 +1094,7 @@ class SimplexSolver::Impl {
     // dual-feasible on many problems but far from optimal, and phase 1 +
     // devex is the better route there). The primal loop below always runs
     // afterwards and owns the final verdict.
-    if (warm_ && opt_.dual_simplex) {
+    if (warm_) {
       const DualVerdict dv = runDual(st, eps);
       if (dv == DualVerdict::kInfeasible) return Status::kInfeasible;
       if (dv == DualVerdict::kIterLimit) return Status::kIterLimit;
@@ -1135,7 +1126,7 @@ class SimplexSolver::Impl {
         cand_.clear();  // reduced costs flipped
         y_valid = false;
       }
-      if (bland || opt_.pricing != Pricing::kDevex) y_valid = false;
+      if (bland) y_valid = false;
 
       // y = B^{-T} c_B for the phase's cost vector. Phase-1 costs are +-1
       // on violated basics and 0 elsewhere -- in particular 0 on every
@@ -1163,8 +1154,7 @@ class SimplexSolver::Impl {
       }
       const std::vector<double>& cost = cost_;
 
-      // Pricing: devex candidate list (or Dantzig full scan under the
-      // COYOTE_LP_PRICING escape hatch); Bland when anti-cycling.
+      // Pricing: devex candidate list; Bland when anti-cycling.
       int enter = -1;
       double enter_dir = 0.0;
       double enter_viol = 0.0;
@@ -1180,20 +1170,6 @@ class SimplexSolver::Impl {
             enter_dir = d;
             enter_viol = v;
             break;
-          }
-        }
-      } else if (opt_.pricing == Pricing::kDantzig) {
-        double best_viol = opt_.opt_tol;
-        for (int col = 0; col < n_ + m_; ++col) {
-          if (status(col) == Basis::kBasic || isFixed(col)) continue;
-          double d = 0.0;
-          const double v = violation(
-              col, reducedCost(col, y, cost, phase1), &d);
-          if (v > best_viol) {
-            best_viol = v;
-            enter = col;
-            enter_dir = d;
-            enter_viol = v;
           }
         }
       } else {
@@ -1261,10 +1237,9 @@ class SimplexSolver::Impl {
         xval_[enter] = boundValue(enter);
       } else {
         const int leaving_col = basis_[ro.leave];
-        const bool devex = !bland && opt_.pricing == Pricing::kDevex;
         const double ap = alpha[ro.leave];
         bool have_rho = false;
-        if (devex && !phase1 && std::abs(ap) > 1e-7) {
+        if (!bland && !phase1 && std::abs(ap) > 1e-7) {
           // rho = B^{-T} e_leave serves both the devex weight update and
           // the incremental dual update -- one btran, two uses.
           std::fill(rho.begin(), rho.end(), 0.0);
@@ -1272,7 +1247,7 @@ class SimplexSolver::Impl {
           lu_.btran(rho);
           have_rho = true;
         }
-        if (devex) {
+        if (!bland) {
           devexUpdate(enter, ro.leave, alpha, have_rho ? &rho : nullptr);
         }
         if (y_valid && have_rho) {

@@ -99,16 +99,6 @@ class OptuEngine {
   /// block/crossover bookkeeping costs more than a cold monolithic solve.
   static constexpr int kDecompMinRows = 64;
 
-  /// True when COYOTE_LP_COLD=1: every solve cold-starts (chunk size 1,
-  /// serial sessions reset). A debugging/measurement knob -- the lp_pivots
-  /// delta between a cold and a default run is the warm-start payoff.
-  [[nodiscard]] static bool coldOverride();
-
-  /// Block-decomposition pre-solve availability: enabled unless
-  /// COYOTE_LP_DECOMP=0. The escape hatch for A/B measurement, mirroring
-  /// COYOTE_LP_COLD / COYOTE_LP_DUAL.
-  [[nodiscard]] static bool decompEnabled();
-
  private:
   struct Template;  // constraint matrix + var/row maps for one signature
 
@@ -133,7 +123,8 @@ class OptuEngine {
   [[nodiscard]] lp::Basis decomposeSeed(const Template& t,
                                         const tm::TrafficMatrix& d,
                                         util::ThreadPool* tp) const;
-  /// Computes (once per template) and returns the stored crossover seed.
+  /// Computes (once per template) and returns the stored crossover seed;
+  /// empty under lp::SimplexOptions::cold, whose solves ignore any seed.
   /// Caller holds mutex_.
   const lp::Basis& ensureSeed(Template& t, const tm::TrafficMatrix& d,
                               util::ThreadPool* tp);

@@ -1,13 +1,14 @@
-// Environment-variable knobs, shared by benches, tools and tests.
+// Environment-variable knobs, read once at the tool boundary.
 //
-// Every runtime surface of the repo reads the same small set of COYOTE_*
-// variables (COYOTE_FULL, COYOTE_EXACT, COYOTE_THREADS, ...); these helpers
-// are the single parsing point so the semantics ("set and not '0'") cannot
-// drift between binaries.
+// The tools and tests read COYOTE_FULL, COYOTE_EXACT and COYOTE_LP_COLD
+// here and pass them down as explicit options (exp::RunOptions,
+// lp::SimplexOptions); the one library-side read is COYOTE_THREADS, the
+// process pool size, which util::ThreadPool::defaultThreads parses with
+// a range check. envFlag is the single parsing point so the semantics
+// ("set and not '0'") cannot drift between binaries.
 #pragma once
 
 #include <cstdlib>
-#include <string>
 
 namespace coyote::util {
 
@@ -15,22 +16,6 @@ namespace coyote::util {
 [[nodiscard]] inline bool envFlag(const char* name) {
   const char* v = std::getenv(name);
   return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-/// Integer value of `name`, or `fallback` when unset/unparsable.
-[[nodiscard]] inline long envInt(const char* name, long fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  return (end != nullptr && *end == '\0') ? parsed : fallback;
-}
-
-/// String value of `name`, or `fallback` when unset.
-[[nodiscard]] inline std::string envString(const char* name,
-                                           const std::string& fallback = {}) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::string(v) : fallback;
 }
 
 }  // namespace coyote::util

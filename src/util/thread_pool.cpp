@@ -1,10 +1,10 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <string>
 
-#include "util/env.hpp"
 #include "util/require.hpp"
 
 namespace coyote::util {
@@ -36,6 +36,9 @@ class RunningPoolFrame {
 
 ThreadPool::ThreadPool(unsigned threads)
     : threads_(std::max(1u, threads == 0 ? defaultThreads() : threads)) {
+  require(threads_ <= kMaxThreads,
+          "ThreadPool: " + std::to_string(threads_) + " threads exceeds the " +
+              std::to_string(kMaxThreads) + " cap");
   workers_.reserve(threads_ - 1);
   for (unsigned i = 0; i + 1 < threads_; ++i) {
     workers_.emplace_back([this] { workerLoop(); });
@@ -125,10 +128,25 @@ ThreadPool& ThreadPool::global() {
 }
 
 unsigned ThreadPool::defaultThreads() {
-  const long v = envInt("COYOTE_THREADS", 0);
-  if (v > 0) return static_cast<unsigned>(v);
+  const char* v = std::getenv("COYOTE_THREADS");
+  const unsigned n =
+      v == nullptr || *v == '\0' ? 0 : parseThreadCount(v, "COYOTE_THREADS");
+  if (n > 0) return n;
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1u : hw;
+  return hw == 0 ? 1u : std::min(hw, kMaxThreads);
+}
+
+unsigned ThreadPool::parseThreadCount(const std::string& text,
+                                      const char* what) {
+  // from_chars into an unsigned takes digits only (no sign, no
+  // whitespace) and reports overflow instead of wrapping.
+  unsigned value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  require(ec == std::errc() && stop == end && value <= kMaxThreads,
+          std::string(what) + ": expected an integer in [0, " +
+              std::to_string(kMaxThreads) + "], got '" + text + "'");
+  return value;
 }
 
 }  // namespace coyote::util

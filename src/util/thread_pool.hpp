@@ -19,6 +19,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,9 +27,14 @@ namespace coyote::util {
 
 class ThreadPool {
  public:
+  /// Largest thread count a pool accepts (COYOTE_THREADS, --threads and
+  /// the constructor alike).
+  static constexpr unsigned kMaxThreads = 1024;
+
   /// Creates a pool that runs loops on `threads` threads in total
   /// (the caller counts as one; `threads - 1` workers are spawned).
   /// `threads == 0` picks the hardware default (see defaultThreads()).
+  /// Throws std::invalid_argument above kMaxThreads.
   explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
 
@@ -55,8 +61,15 @@ class ThreadPool {
   static ThreadPool& global();
 
   /// COYOTE_THREADS if set to a positive integer, else
-  /// std::thread::hardware_concurrency() (else 1).
+  /// std::thread::hardware_concurrency() (else 1). Throws
+  /// std::invalid_argument when COYOTE_THREADS is set to anything but an
+  /// integer in [0, kMaxThreads]; 0 and the empty string mean unset.
   static unsigned defaultThreads();
+
+  /// Parses a user-supplied thread count: a decimal integer in
+  /// [0, kMaxThreads] (0 = hardware default). Throws std::invalid_argument
+  /// naming `what` (the variable or flag it came from) otherwise.
+  static unsigned parseThreadCount(const std::string& text, const char* what);
 
  private:
   void workerLoop();

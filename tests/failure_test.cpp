@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "core/coyote.hpp"
@@ -409,17 +408,18 @@ TEST(FailureEvaluator, WarmStartedResolvesBeatColdOnes) {
   const auto dags = core::augmentedDagsShared(g);
   const tm::TrafficMatrix base = tm::gravityMatrix(g, 1.0);
   const FailureEvaluator eval(g, dags, base, quickOptions());
+  FailureEvalOptions cold_options = quickOptions();
+  cold_options.coyote.lp.cold = true;
+  const FailureEvaluator cold_eval(g, dags, base, cold_options);
   const auto fails = singleLinkFailures(g);
 
   const lp::StatsSnapshot before_warm = lp::statsSnapshot();
   const FailureSweepResult warm = eval.evaluate(fails);
   const lp::StatsSnapshot warm_delta = lp::statsSnapshot() - before_warm;
 
-  ASSERT_EQ(::setenv("COYOTE_LP_COLD", "1", 1), 0);
   const lp::StatsSnapshot before_cold = lp::statsSnapshot();
-  const FailureSweepResult cold = eval.evaluate(fails);
+  const FailureSweepResult cold = cold_eval.evaluate(fails);
   const lp::StatsSnapshot cold_delta = lp::statsSnapshot() - before_cold;
-  ::unsetenv("COYOTE_LP_COLD");
 
   // Same verdicts (up to LP vertex choice the ratios agree closely)...
   ASSERT_EQ(warm.evaluated, cold.evaluated);
@@ -434,10 +434,10 @@ TEST(FailureEvaluator, WarmStartedResolvesBeatColdOnes) {
   // ...but the warm sweep reuses bases and pays far fewer pivots. The
   // warm run may report *more* solve() calls than the cold one -- the
   // decomposition pre-solve's per-destination block LPs are counted too
-  // (COYOTE_LP_COLD disables the pre-solve along with warm chaining) --
-  // so the comparison is on total pivots, where the block solves are
-  // also included. The acceptance bar for the GEANT bench sweep is 1.5x;
-  // the 3x3 grid already clears it.
+  // (lp::SimplexOptions::cold disables the pre-solve along with warm
+  // chaining) -- so the comparison is on total pivots, where the block
+  // solves are also included. The acceptance bar for the GEANT bench
+  // sweep is 1.5x; the 3x3 grid already clears it.
   EXPECT_GE(warm_delta.solves, cold_delta.solves);
   EXPECT_LT(warm_delta.iterations * 3, cold_delta.iterations * 2)
       << "warm pivots " << warm_delta.iterations << " vs cold "

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <random>
 
 #include "core/dag_builder.hpp"
@@ -32,6 +31,17 @@ LpProblem productionPlan() {
   const int y = p.addVar(4.0);
   p.addConstraint({{x, 6.0}, {y, 4.0}}, Rel::kLe, 24.0);
   p.addConstraint({{x, 1.0}, {y, 2.0}}, Rel::kLe, 6.0);
+  return p;
+}
+
+/// Band-structured packing LP: max sum (1 + 0.1 j) x_j with x_j in [0, 4]
+/// and every window of three consecutive variables summing to at most 5.
+LpProblem bandLp(int vars) {
+  LpProblem p(Sense::kMaximize);
+  for (int j = 0; j < vars; ++j) p.addVar(1.0 + 0.1 * j, 0.0, 4.0);
+  for (int i = 0; i + 2 < vars; ++i) {
+    p.addConstraint({{i, 1.0}, {i + 1, 1.0}, {i + 2, 1.0}}, Rel::kLe, 5.0);
+  }
   return p;
 }
 
@@ -163,10 +173,41 @@ TEST(SimplexSession, StaleBasisAfterBoundFlipIsRepaired) {
   EXPECT_LE(repaired.x[1], 0.4 + kTol);
 }
 
+TEST(SimplexSession, ColdOptionResolvesFromTheAllLogicalBasis) {
+  // Under SimplexOptions::cold every solve() starts from the all-logical
+  // basis: after an rhs mutation the re-solve takes exactly the pivots of
+  // a fresh session on the mutated problem and never enters the dual
+  // simplex. A default session repairs the same mutation warm.
+  LpProblem p = bandLp(24);
+  SimplexOptions cold_opt;
+  cold_opt.cold = true;
+  SimplexSolver cold(p, cold_opt);
+  SimplexSolver warm(p);
+  ASSERT_EQ(cold.solve().status, Status::kOptimal);
+  ASSERT_EQ(warm.solve().status, Status::kOptimal);
+
+  p.setConstraintRhs(3, 4.0);
+  cold.setRhs(3, 4.0);
+  warm.setRhs(3, 4.0);
+  const LpResult fresh = SimplexSolver(p).solve();
+  const LpResult cold_r = cold.solve();
+  const LpResult warm_r = warm.solve();
+  ASSERT_EQ(fresh.status, Status::kOptimal);
+  ASSERT_EQ(cold_r.status, Status::kOptimal);
+  ASSERT_EQ(warm_r.status, Status::kOptimal);
+  EXPECT_EQ(cold_r.stats.iterations, fresh.stats.iterations);
+  EXPECT_EQ(cold_r.stats.dual_pivots, 0);
+  EXPECT_LT(warm_r.stats.iterations, fresh.stats.iterations);
+  EXPECT_NEAR(cold_r.objective, fresh.objective,
+              kTol * (1.0 + std::abs(fresh.objective)));
+  EXPECT_NEAR(warm_r.objective, fresh.objective,
+              kTol * (1.0 + std::abs(fresh.objective)));
+}
+
 TEST(SimplexEngine, BealeCyclingInstanceTerminates) {
-  // Beale's classic cycling example: Dantzig pricing cycles without an
-  // anti-cycling rule; the stall detector must fall back to Bland and
-  // terminate at the optimum (objective -0.05).
+  // Beale's classic cycling example: most-negative-reduced-cost pricing
+  // cycles without an anti-cycling rule; the stall detector must fall
+  // back to Bland and terminate at the optimum (objective -0.05).
   SimplexOptions opt;
   opt.stall_limit = 6;  // force the fallback quickly
   LpProblem p(Sense::kMinimize);
@@ -185,9 +226,9 @@ TEST(SimplexEngine, BealeCyclingInstanceTerminates) {
 }
 
 TEST(SimplexEngine, DevexAndBlandAgreeOnBealeInstance) {
-  // The same instance under every entering rule: devex, Dantzig, and an
-  // immediate Bland fallback (stall_limit = 0 trips it on the first
-  // degenerate pivot). All three must land on the same optimum.
+  // The same instance under devex with an immediate Bland fallback
+  // (stall_limit = 0 trips it on the first degenerate pivot), a quick one
+  // and the default. All three must land on the same optimum.
   LpProblem p(Sense::kMinimize);
   const int x1 = p.addVar(-0.75);
   const int x2 = p.addVar(150.0);
@@ -199,19 +240,12 @@ TEST(SimplexEngine, DevexAndBlandAgreeOnBealeInstance) {
                   Rel::kLe, 0.0);
   p.addConstraint({{x3, 1.0}}, Rel::kLe, 1.0);
 
-  for (const Pricing pricing : {Pricing::kDevex, Pricing::kDantzig}) {
-    for (const int stall_limit : {0, 6, 2000}) {
-      SimplexOptions opt;
-      opt.pricing = pricing;
-      opt.stall_limit = stall_limit;
-      const LpResult r = solve(p, opt);
-      ASSERT_EQ(r.status, Status::kOptimal)
-          << "pricing=" << (pricing == Pricing::kDevex ? "devex" : "dantzig")
-          << " stall_limit=" << stall_limit;
-      EXPECT_NEAR(r.objective, -0.05, 1e-9)
-          << "pricing=" << (pricing == Pricing::kDevex ? "devex" : "dantzig")
-          << " stall_limit=" << stall_limit;
-    }
+  for (const int stall_limit : {0, 6, 2000}) {
+    SimplexOptions opt;
+    opt.stall_limit = stall_limit;
+    const LpResult r = solve(p, opt);
+    ASSERT_EQ(r.status, Status::kOptimal) << "stall_limit=" << stall_limit;
+    EXPECT_NEAR(r.objective, -0.05, 1e-9) << "stall_limit=" << stall_limit;
   }
 }
 
@@ -271,14 +305,8 @@ TEST(SimplexEngine, LongWarmChainExercisesLuUpdatesAndRefactorization) {
   // independent cold solve of the mutated problem.
   SimplexOptions opt;
   opt.refactor_every = 4;
-  LpProblem p(Sense::kMaximize);
   constexpr int kVars = 8;
-  for (int j = 0; j < kVars; ++j) {
-    p.addVar(1.0 + 0.1 * j, 0.0, 4.0);
-  }
-  for (int i = 0; i + 2 < kVars; ++i) {  // overlapping band rows
-    p.addConstraint({{i, 1.0}, {i + 1, 1.0}, {i + 2, 1.0}}, Rel::kLe, 5.0);
-  }
+  LpProblem p = bandLp(kVars);
   SimplexSolver session(p, opt);
   ASSERT_EQ(session.solve().status, Status::kOptimal);
 
@@ -519,10 +547,6 @@ TEST(OptuEngineTest, DecomposedBatchIsIdenticalForAnyThreadCount) {
     util::ThreadPool tp(threads);
     results.push_back(engine.utilizationBatch(pool, tp));
   }
-  if (routing::OptuEngine::coldOverride() ||
-      !routing::OptuEngine::decompEnabled()) {
-    GTEST_SKIP() << "decomposition disabled by environment";
-  }
   // The decomposed pre-solve ran (once per engine, seeding the batch).
   EXPECT_GE((statsSnapshot() - before).decomp_rounds,
             3 * routing::OptuEngine::kDecompRounds);
@@ -535,6 +559,28 @@ TEST(OptuEngineTest, DecomposedBatchIsIdenticalForAnyThreadCount) {
     const double cold = routing::optimalUtilization(g, *dags, pool[i]);
     EXPECT_NEAR(results[0][i], cold, 1e-7 * (1.0 + cold)) << "matrix " << i;
   }
+}
+
+TEST(OptuEngineTest, ColdEngineSkipsTheDecomposition) {
+  // GEANT's OPTU template crosses kDecompMinRows, so a default engine
+  // seeds its first solve from the block decomposition; a cold engine
+  // skips it and still reaches the same optimum.
+  const Graph g = exp::TopologySpec::zoo("Geant").build();
+  const auto dags = core::augmentedDagsShared(g);
+  const tm::TrafficMatrix d = tm::gravityMatrix(g, 1.0);
+  SimplexOptions cold_opt;
+  cold_opt.cold = true;
+
+  StatsSnapshot before = statsSnapshot();
+  routing::OptuEngine cold(g, dags, cold_opt);
+  const double u_cold = cold.utilization(d);
+  EXPECT_EQ((statsSnapshot() - before).decomp_rounds, 0);
+
+  before = statsSnapshot();
+  routing::OptuEngine warm(g, dags);
+  const double u_warm = warm.utilization(d);
+  EXPECT_GT((statsSnapshot() - before).decomp_rounds, 0);
+  EXPECT_NEAR(u_cold, u_warm, 1e-9 * (1.0 + u_warm));
 }
 
 // --- COYOTE_FULL=1: warm-vs-cold OPTU across every registered scenario. ---
@@ -588,10 +634,10 @@ TEST(OptuEngineTest, DecomposedAndMonolithicAgreeAcrossAllScenarios) {
   // The block-angular pre-solve only seeds a basis; the crossover hands
   // the full LP to the exact simplex, so the decomposed first solve must
   // match the monolithic one to solver tolerance, not just "roughly".
-  // decompEnabled() reads the environment live, so toggling the knob
-  // between engines flips the path within one process.
-  const char* saved = std::getenv("COYOTE_LP_DECOMP");
-  const std::string saved_val = saved != nullptr ? saved : "";
+  // The monolithic reference is a cold engine (no pre-solve, all-logical
+  // start).
+  SimplexOptions cold_opt;
+  cold_opt.cold = true;
   int checked = 0;
   int decomposed = 0;
   for (const exp::Scenario& s : exp::ScenarioRegistry::global().all()) {
@@ -607,22 +653,15 @@ TEST(OptuEngineTest, DecomposedAndMonolithicAgreeAcrossAllScenarios) {
     if (base.total() <= 0.0) continue;
 
     const StatsSnapshot before = statsSnapshot();
-    setenv("COYOTE_LP_DECOMP", "1", 1);
     routing::OptuEngine decomp_engine(g, dags);
     const double with_decomp = decomp_engine.utilization(base);
     if ((statsSnapshot() - before).decomp_rounds > 0) ++decomposed;
 
-    setenv("COYOTE_LP_DECOMP", "0", 1);
-    routing::OptuEngine mono_engine(g, dags);
+    routing::OptuEngine mono_engine(g, dags, cold_opt);
     const double monolithic = mono_engine.utilization(base);
 
     ASSERT_NEAR(with_decomp, monolithic, 1e-9 * (1.0 + monolithic)) << s.id;
     ++checked;
-  }
-  if (saved != nullptr) {
-    setenv("COYOTE_LP_DECOMP", saved_val.c_str(), 1);
-  } else {
-    unsetenv("COYOTE_LP_DECOMP");
   }
   EXPECT_GT(checked, 40);
   // The sweep exercised the decomposed path on the larger topologies,

@@ -256,8 +256,8 @@ TEST(LpFuzz, DegenerateWarmChainsAgreeWithColdOracle) {
 TEST(LpFuzz, DualSimplexRhsBoundChainsAgreeWithAlwaysBlandOracle) {
   // The dual simplex's home turf, differentially fuzzed: warm sessions
   // driven through rhs/bound-only mutation chains (the OPTU re-solve and
-  // setFailedEdges shapes) with opt.dual_simplex forced on, every step
-  // re-checked against the dense always-Bland oracle. The chains must
+  // setFailedEdges shapes), every step re-checked against the dense
+  // always-Bland oracle. The chains must
   // also actually exercise the dual path (dual_pivots > 0 process-wide)
   // and cover status flips in both directions -- in particular chains
   // where a mutation makes the LP infeasible and a later one restores an
@@ -265,13 +265,11 @@ TEST(LpFuzz, DualSimplexRhsBoundChainsAgreeWithAlwaysBlandOracle) {
   // backstop hand off across.
   std::mt19937_64 rng(90210);
   std::uniform_int_distribution<int> pct(0, 99), rhs(-5, 5);
-  lp::SimplexOptions dual_on;
-  dual_on.dual_simplex = true;
   const lp::StatsSnapshot before = lp::statsSnapshot();
   int infeasible_to_optimal = 0;
   for (int k = 0; k < 60; ++k) {
     DenseLp dense = randomLp(rng);
-    lp::SimplexSolver session(dense.toProblem(), dual_on);
+    lp::SimplexSolver session(dense.toProblem());
     lp::LpResult prev = session.solve();
     for (int step = 0; step < 8; ++step) {
       std::uniform_int_distribution<int> var(0, dense.numVars() - 1);
@@ -318,18 +316,18 @@ TEST(LpFuzz, DualSimplexRhsBoundChainsAgreeWithAlwaysBlandOracle) {
 
 TEST(LpFuzz, DualOnAndOffSessionsAgreeOnMutationChains) {
   // Engine-vs-engine: two sessions fed byte-identical rhs/bound chains,
-  // one with the dual entry path, one always-primal. Status and objective
-  // must agree at every step -- the dual path is an optimization, never a
-  // semantic fork.
+  // one warm (with the dual entry path), one cold (every solve from the
+  // all-logical basis, so always primal). Status and objective must agree
+  // at every step -- the dual path is an optimization, never a semantic
+  // fork.
   std::mt19937_64 rng(515151);
   std::uniform_int_distribution<int> pct(0, 99), rhs(-5, 5);
-  lp::SimplexOptions dual_on, dual_off;
-  dual_on.dual_simplex = true;
-  dual_off.dual_simplex = false;
+  lp::SimplexOptions cold;
+  cold.cold = true;
   for (int k = 0; k < 40; ++k) {
     DenseLp dense = randomLp(rng);
-    lp::SimplexSolver a(dense.toProblem(), dual_on);
-    lp::SimplexSolver b(dense.toProblem(), dual_off);
+    lp::SimplexSolver a(dense.toProblem());
+    lp::SimplexSolver b(dense.toProblem(), cold);
     (void)a.solve();
     (void)b.solve();
     for (int step = 0; step < 6; ++step) {

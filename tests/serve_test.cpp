@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -271,8 +270,10 @@ TEST(TeService, WarmResidentEngineBeatsColdOnLinkFlaps) {
   const std::vector<std::string> trace = linkFlapTrace(g, 8);
   ASSERT_EQ(trace.size(), 16u);
 
-  const auto replay = [&]() {
-    TeService service(g, base, quickOptions());
+  const auto replay = [&](bool cold) {
+    ServeOptions opt = quickOptions();
+    opt.coyote.lp.cold = cold;
+    TeService service(g, base, std::move(opt));
     const lp::StatsSnapshot before = lp::statsSnapshot();
     const std::vector<std::string> out = service.handleScript(trace);
     for (const std::string& line : out) {
@@ -281,16 +282,14 @@ TEST(TeService, WarmResidentEngineBeatsColdOnLinkFlaps) {
     return lp::statsSnapshot() - before;
   };
 
-  const lp::StatsSnapshot warm = replay();
-  ASSERT_EQ(::setenv("COYOTE_LP_COLD", "1", 1), 0);
-  const lp::StatsSnapshot cold = replay();
-  ::unsetenv("COYOTE_LP_COLD");
+  const lp::StatsSnapshot warm = replay(false);
+  const lp::StatsSnapshot cold = replay(true);
 
   // Far fewer pivots: each flap re-enters the resident engine as a
   // bounds mutation on a warm basis (dual-simplex repaired). The warm
   // run may report more solve() calls -- the OPTU decomposition
-  // pre-solve's block LPs count too (COYOTE_LP_COLD disables the
-  // pre-solve along with warm chaining) -- so the bar is on total
+  // pre-solve's block LPs count too (lp::SimplexOptions::cold disables
+  // the pre-solve along with warm chaining) -- so the bar is on total
   // pivots, which include the block solves' work.
   EXPECT_GE(warm.solves, cold.solves);
   EXPECT_GE(cold.iterations, warm.iterations * 3 / 2)

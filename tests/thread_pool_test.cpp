@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -89,6 +91,55 @@ TEST(ThreadPool, ExceptionOnSingleThreadPool) {
 TEST(ThreadPool, DefaultThreadsIsPositive) {
   EXPECT_GE(ThreadPool::defaultThreads(), 1u);
   EXPECT_GE(ThreadPool::global().threadCount(), 1u);
+}
+
+/// The std::invalid_argument message `fn` throws ("" when it returns).
+template <class Fn>
+std::string rejection(Fn fn) {
+  try {
+    (void)fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(ThreadPool, ThreadCountsFromOutsideAreRangeChecked) {
+  // COYOTE_THREADS is parsed without narrowing: anything but an integer
+  // in [0, kMaxThreads] is an error naming the variable, never a wrapped
+  // (4294967297 -> 1) or huge (5000000000 -> 705032704) pool size.
+  const char* saved = std::getenv("COYOTE_THREADS");
+  const bool was_set = saved != nullptr;
+  const std::string restore = was_set ? saved : "";
+  const auto threadsFor = [](const char* value) {
+    ::setenv("COYOTE_THREADS", value, 1);
+    return ThreadPool::defaultThreads();
+  };
+  EXPECT_EQ(threadsFor("3"), 3u);
+  EXPECT_EQ(threadsFor("1024"), ThreadPool::kMaxThreads);
+  EXPECT_GE(threadsFor("0"), 1u);  // 0 = hardware threads
+  EXPECT_GE(threadsFor(""), 1u);   // empty = unset
+  for (const char* bad :
+       {"5000000000", "4294967297", "-1", "1025", "abc", "4x", " 4", "+4"}) {
+    EXPECT_NE(rejection([&] { return threadsFor(bad); }).find("COYOTE_THREADS"),
+              std::string::npos)
+        << bad;
+  }
+  if (was_set) {
+    ::setenv("COYOTE_THREADS", restore.c_str(), 1);
+  } else {
+    ::unsetenv("COYOTE_THREADS");
+  }
+
+  // The same parser serves command-line flags, naming the flag; the
+  // constructor enforces the cap for library callers.
+  EXPECT_EQ(ThreadPool::parseThreadCount("8", "--threads"), 8u);
+  EXPECT_NE(rejection([] {
+              return ThreadPool::parseThreadCount("-1", "--threads");
+            }).find("--threads"),
+            std::string::npos);
+  EXPECT_THROW(ThreadPool(ThreadPool::kMaxThreads + 1),
+               std::invalid_argument);
 }
 
 TEST(ThreadPool, NestedParallelForOnSamePoolFailsFast) {

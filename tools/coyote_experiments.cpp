@@ -12,6 +12,7 @@
 #include "exp/scenario.hpp"
 #include "scheme/registry.hpp"
 #include "util/env.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -50,7 +51,11 @@ int usage(const char* argv0, int code) {
                "--full)\n"
                "  --exact            exact slave-LP oracle/evaluation "
                "(COYOTE_EXACT)\n"
-               "  --quiet            suppress the per-row text output\n",
+               "  --quiet            suppress the per-row text output\n"
+               "\n"
+               "COYOTE_LP_COLD=1 cold-starts every LP solve (the warm-start "
+               "payoff is\n"
+               "the lp_pivots delta against a default run).\n",
                argv0);
   return code;
 }
@@ -94,6 +99,13 @@ int main(int argc, char** argv) {
   exp::RunOptions opt;
   opt.full = util::envFlag("COYOTE_FULL");
   opt.exact = util::envFlag("COYOTE_EXACT");
+  opt.lp_cold = util::envFlag("COYOTE_LP_COLD");
+  try {
+    (void)util::ThreadPool::defaultThreads();  // validates COYOTE_THREADS
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   bool list = false;
   bool all = false;
   std::vector<std::string> filters;

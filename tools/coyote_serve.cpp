@@ -16,6 +16,9 @@
 //
 //   coyote_serve --topo Geant --generate 500 --seed 1   seeded mixed trace
 //   coyote_serve --topo Geant --flap-trace 40           link-flap trace
+//
+// COYOTE_LP_COLD=1 cold-starts every LP solve (the warm-start payoff is
+// the pivot delta against a default run).
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -28,6 +31,8 @@
 #include "scheme/registry.hpp"
 #include "serve/service.hpp"
 #include "serve/trace.hpp"
+#include "util/env.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -48,9 +53,10 @@ int usage(const char* argv0, int code) {
                "paper's four)\n"
                "  --margin <x>       initial uncertainty margin (default "
                "2.0)\n"
-               "  --threads <n>      private thread-pool size; 0 (default) "
-               "uses the\n"
-               "                     process pool (COYOTE_THREADS)\n"
+               "  --threads <n>      private thread-pool size in [0, 1024]; "
+               "0 (default)\n"
+               "                     uses the process pool "
+               "(COYOTE_THREADS)\n"
                "\n"
                "Modes (default: stdin/stdout daemon):\n"
                "  --replay <file>    replay a trace file, one response line "
@@ -117,7 +123,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--margin") {
       margin = std::atof(next());
     } else if (arg == "--threads") {
-      threads = static_cast<unsigned>(std::atoi(next()));
+      try {
+        threads = util::ThreadPool::parseThreadCount(next(), "--threads");
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+      }
     } else if (arg == "--replay") {
       replay_file = next();
     } else if (arg == "--generate") {
@@ -155,6 +166,7 @@ int main(int argc, char** argv) {
     serve::ServeOptions opt;
     opt.margin = margin;
     opt.threads = threads;
+    opt.coyote.lp.cold = util::envFlag("COYOTE_LP_COLD");
     opt.schemes = te::SchemeRegistry::builtin().parseList(schemes_csv);
 
     serve::TeService service(g, base, opt);
