@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 
 #include "core/local_search.hpp"
@@ -26,6 +29,7 @@
 #include "topo/generator.hpp"
 #include "topo/zoo.hpp"
 #include "util/mem.hpp"
+#include "util/percentile.hpp"
 #include "util/require.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -36,16 +40,128 @@ namespace json = util::json;
 
 namespace {
 
-// Output of one scenario execution: JSON rows plus kind-specific summary
-// members merged into the document, and the pass/fail verdict.
-struct KindOutput {
+// --- Text output --------------------------------------------------------
+
+[[gnu::format(printf, 1, 2)]] std::string formatted(const char* fmt, ...) {
+  va_list args, sizing;
+  va_start(args, fmt);
+  va_copy(sizing, args);
+  std::string out(std::vsnprintf(nullptr, 0, fmt, sizing), '\0');
+  va_end(sizing);
+  std::vsnprintf(out.data(), out.size() + 1, fmt, args);
+  va_end(args);
+  return out;
+}
+
+/// One text-table column, printed from the JSON row member `key` ("a.b"
+/// descends into the row's object "a"), left-aligned in `width`
+/// characters plus a separating space. Numbers print with `precision`
+/// decimals, strings as-is, bools as yes/no; a missing member prints
+/// "n/a" (how failure rows mark unroutable schemes).
+struct Column {
+  std::string title;
+  std::string key;
+  int width = 8;
+  int precision = 2;
+  /// Bool row member that appends '+' to the cell when true (Table I
+  /// marks its exact-adversary networks that way).
+  const char* plus_if = nullptr;
+};
+
+std::string cellText(const Column& c, const json::Value& row) {
+  const json::Value* v = &row;
+  for (std::size_t start = 0; v != nullptr;) {
+    const std::size_t dot = c.key.find('.', start);
+    v = v->find(c.key.substr(start, dot - start));
+    if (dot == std::string::npos) break;
+    start = dot + 1;
+  }
+  if (v == nullptr) return "n/a";
+  std::string text;
+  if (v->isString()) {
+    text = v->asString();
+  } else if (v->isBool()) {
+    text = v->asBool() ? "yes" : "no";
+  } else {
+    text = formatted("%.*f", c.precision, v->asNumber());
+  }
+  if (c.plus_if != nullptr) {
+    const json::Value* flag = row.find(c.plus_if);
+    if (flag != nullptr && flag->asBool()) text += '+';
+  }
+  return text;
+}
+
+/// The leading columns followed by one column per scheme: display name as
+/// title, scheme key as JSON key, wide enough for the name plus a space
+/// and never narrower than the classic 8-character ratio column.
+std::vector<Column> withSchemes(std::vector<Column> columns,
+                                const std::vector<const te::Scheme*>& schemes) {
+  for (const te::Scheme* s : schemes) {
+    const int width =
+        std::max(8, static_cast<int>(std::strlen(s->display())) + 2);
+    columns.push_back({s->display(), s->key(), width, 2});
+  }
+  return columns;
+}
+
+// One execution of a scenario kind: its inputs, and the rows, summary
+// members and verdict the kind's run function produces. The text stream
+// comes from the same values: add() prints each table row from the JSON
+// row it appends, note() prints the free-text `#` lines, and nothing is
+// printed when `print` is off.
+struct KindRun {
+  KindRun(const Scenario& scenario, const RunOptions& options, bool print_on)
+      : s(scenario), opt(options), print(print_on) {}
+
+  const Scenario& s;
+  const RunOptions& opt;
+  bool print;
   json::Value rows = json::Value::array();
+  /// Members merged into the document after `rows`.
   json::Value extra = json::Value::object();
   /// Members merged into the machine-dependent "timing" block (exempt
   /// from the bench_compare drift gate; kServe puts throughput and
   /// latency percentiles here, where they are regression-gated instead).
   json::Value timing_extra = json::Value::object();
   bool ok = true;
+
+  [[gnu::format(printf, 2, 3)]] void note(const char* fmt, ...) const {
+    if (!print) return;
+    va_list args;
+    va_start(args, fmt);
+    std::vprintf(fmt, args);
+    va_end(args);
+    std::fflush(stdout);
+  }
+
+  /// Opens a text table: later add() calls print under these columns.
+  void table(std::vector<Column> columns) {
+    columns_ = std::move(columns);
+    if (!print) return;
+    for (const Column& c : columns_) {
+      std::printf("%-*s ", c.width, c.title.c_str());
+    }
+    std::printf("\n");
+  }
+
+  /// Appends `row` to the rows and prints it under the open table (no
+  /// table open: not printed).
+  const json::Value& add(json::Value row) {
+    rows.push_back(std::move(row));
+    const json::Value& added = rows.asArray().back();
+    if (print && !columns_.empty()) {
+      for (const Column& c : columns_) {
+        std::printf("%-*s ", c.width, cellText(c, added).c_str());
+      }
+      std::printf("\n");
+      std::fflush(stdout);
+    }
+    return added;
+  }
+
+ private:
+  std::vector<Column> columns_;
 };
 
 /// The scheme list a scheme-comparison scenario sweeps: the --schemes
@@ -54,12 +170,6 @@ struct KindOutput {
 /// honest (unknown keys throw, naming the key).
 std::vector<const te::Scheme*> selectedSchemes(const RunOptions& opt) {
   return te::SchemeRegistry::builtin().resolve(opt.schemes);
-}
-
-std::string formatMargin(double margin) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f", margin);
-  return buf;
 }
 
 json::Value schemeRowJson(const std::vector<const te::Scheme*>& schemes,
@@ -87,51 +197,45 @@ json::Value schemeRowJson(const std::vector<const te::Scheme*>& schemes,
 
 // --- kSchemes (Figs. 6-8 and the zoo/synthetic extension grid) --------
 
-KindOutput runSchemes(const Scenario& s, const RunOptions& opt, bool print) {
-  KindOutput out;
+void runSchemes(KindRun& r) {
+  const Scenario& s = r.s;
   const Graph g = s.topology.build();
   const auto dags = core::augmentedDagsShared(g);
   const tm::TrafficMatrix base = s.demand.build(g);
-  const std::vector<const te::Scheme*> schemes = selectedSchemes(opt);
+  const std::vector<const te::Scheme*> schemes = selectedSchemes(r.opt);
 
   SweepOptions sopt = s.sweep;
-  sopt.exact_oracle = sopt.exact_oracle || opt.exact;
-  if (opt.exact && s.exact_env_upgrades_eval) sopt.exact_eval = true;
+  sopt.exact_oracle = sopt.exact_oracle || r.opt.exact;
+  if (r.opt.exact && s.exact_env_upgrades_eval) sopt.exact_eval = true;
 
-  const SchemeTable table(schemes, {{"margin", 8}});
-  if (print) {
-    printSweepPreamble(s.topology.label().c_str(), s.demand.name());
-    table.printHeader();
-  }
+  r.note("# %s, %s base matrix\n", s.topology.label().c_str(),
+         s.demand.name());
+  r.note("# ratios are worst-case link utilization relative to the\n"
+         "# demands-aware optimum within the same augmented DAGs\n");
+  r.table(withSchemes({{"margin", "margin", 8, 1}}, schemes));
   const NetworkSweep sweep(g, dags, base, sopt, schemes);
-  for (const double margin : s.grid(opt.full)) {
-    const SchemeRow r = sweep.run(margin);
-    if (print) {
-      table.printRow({formatMargin(r.margin)}, r.ratio);
-      std::fflush(stdout);
-    }
-    out.rows.push_back(schemeRowJson(schemes, r));
+  for (const double margin : s.grid(r.opt.full)) {
+    r.add(schemeRowJson(schemes, sweep.run(margin)));
   }
-  return out;
 }
 
 // --- kTable (Table I) -------------------------------------------------
 
-KindOutput runTable(const Scenario& s, const RunOptions& opt, bool print) {
-  KindOutput out;
-  const std::vector<double>& margins = s.grid(opt.full);
-  const std::vector<const te::Scheme*> schemes = selectedSchemes(opt);
-  const SchemeTable table(schemes, {{"network", 14}, {"margin", 8}});
-  if (print) {
-    std::printf("# Table I: gravity base model, margins");
-    for (const double m : margins) std::printf(" %.1f", m);
-    std::printf("\n# networks with <= %d nodes use the exact slave-LP "
-                "adversary ('+'); larger ones the corner pool\n",
-                s.exact_node_limit);
-    table.printHeader();
-  }
+void runTable(KindRun& r) {
+  const Scenario& s = r.s;
+  const std::vector<double>& margins = s.grid(r.opt.full);
+  const std::vector<const te::Scheme*> schemes = selectedSchemes(r.opt);
+  std::string grid;
+  for (const double m : margins) grid += formatted(" %.1f", m);
+  r.note("# Table I: gravity base model, margins%s\n", grid.c_str());
+  r.note("# networks with <= %d nodes use the exact slave-LP adversary "
+         "('+'); larger ones the corner pool\n",
+         s.exact_node_limit);
+  r.table(withSchemes(
+      {{"network", "network", 14, 2, "exact"}, {"margin", "margin", 8, 1}},
+      schemes));
 
-  for (const std::string& name : s.networkList(opt.full)) {
+  for (const std::string& name : s.networkList(r.opt.full)) {
     const Graph g = topo::makeZoo(name);
     const auto dags = core::augmentedDagsShared(g);
     const tm::TrafficMatrix base = s.demand.build(g);
@@ -139,48 +243,41 @@ KindOutput runTable(const Scenario& s, const RunOptions& opt, bool print) {
     SweepOptions sopt = s.sweep;
     sopt.exact_eval =
         (s.exact_node_limit > 0 && g.numNodes() <= s.exact_node_limit) ||
-        (opt.exact && s.exact_env_upgrades_eval);
-    sopt.exact_oracle = sopt.exact_eval || opt.exact;
+        (r.opt.exact && s.exact_env_upgrades_eval);
+    sopt.exact_oracle = sopt.exact_eval || r.opt.exact;
 
     const NetworkSweep sweep(g, dags, base, sopt, schemes);
-    const std::string label = name + (sopt.exact_eval ? "+" : "");
     for (const double margin : margins) {
-      const SchemeRow r = sweep.run(margin);
-      if (print) {
-        table.printRow({label, formatMargin(r.margin)}, r.ratio);
-        std::fflush(stdout);
-      }
-      json::Value row = schemeRowJson(schemes, r);
+      json::Value row = schemeRowJson(schemes, sweep.run(margin));
       row["network"] = name;
       row["exact"] = sopt.exact_eval;
-      out.rows.push_back(std::move(row));
+      r.add(std::move(row));
     }
   }
-  return out;
 }
 
 // --- kLocalSearch (Fig. 9) --------------------------------------------
 
-KindOutput runLocalSearch(const Scenario& s, const RunOptions& opt,
-                          bool print) {
-  KindOutput out;
+void runLocalSearch(KindRun& r) {
+  const Scenario& s = r.s;
   const Graph base_graph = s.topology.build();
   const tm::TrafficMatrix base = s.demand.build(base_graph);
 
-  if (print) {
-    std::printf("# %s, %s base matrix, local-search weights\n",
-                s.topology.label().c_str(), s.demand.name());
-    std::printf("%-8s %-8s %-12s %-8s %-10s\n", "margin", "ECMP", "COYOTE-pk",
-                "moves", "ECMP/pk");
-  }
+  r.note("# %s, %s base matrix, local-search weights\n",
+         s.topology.label().c_str(), s.demand.name());
+  r.table({{"margin", "margin", 8, 1},
+           {"ECMP", "ecmp", 8, 2},
+           {"COYOTE-pk", "partial", 12, 2},
+           {"moves", "moves", 8, 0},
+           {"ECMP/pk", "ecmp_over_partial", 10, 2}});
 
   double gap_sum = 0.0;
   int gap_rows = 0;
-  for (const double margin : s.grid(opt.full)) {
+  for (const double margin : s.grid(r.opt.full)) {
     const tm::DemandBounds box = tm::marginBounds(base, margin);
 
     core::LocalSearchOptions ls = s.local_search;
-    if (opt.full) ls.max_moves_per_round = s.ls_full_moves;
+    if (r.opt.full) ls.max_moves_per_round = s.ls_full_moves;
     const core::LocalSearchResult found =
         core::localSearchWeights(base_graph, box, ls);
 
@@ -208,11 +305,6 @@ KindOutput runLocalSearch(const Scenario& s, const RunOptions& opt,
     const double pk =
         routing::findWorstCaseDemand(g, pk_res.routing, &box, lp).ratio;
 
-    if (print) {
-      std::printf("%-8.1f %-8.2f %-12.2f %-8d %-10.2f\n", margin, ecmp, pk,
-                  found.accepted_moves, ecmp / pk);
-      std::fflush(stdout);
-    }
     // Distance-from-optimum comparison; margin 1 rows are excluded (both
     // schemes sit at the optimum and the quotient degenerates).
     if (pk > 1.02) {
@@ -226,41 +318,37 @@ KindOutput runLocalSearch(const Scenario& s, const RunOptions& opt,
     row["partial"] = pk;
     row["moves"] = found.accepted_moves;
     row["ecmp_over_partial"] = ecmp / pk;
-    out.rows.push_back(std::move(row));
+    r.add(std::move(row));
   }
   if (gap_rows > 0) {
     const double avg_gap = 100.0 * gap_sum / gap_rows;
-    if (print) {
-      std::printf(
-          "# ECMP's average distance-from-optimum is %.0f%% of COYOTE's "
-          "(paper: ~180%%)\n",
-          avg_gap);
-    }
-    out.extra["ecmp_gap_percent"] = avg_gap;
+    r.note("# ECMP's average distance-from-optimum is %.0f%% of COYOTE's "
+           "(paper: ~180%%)\n",
+           avg_gap);
+    r.extra["ecmp_gap_percent"] = avg_gap;
   }
-  return out;
 }
 
 // --- kQuantization (Fig. 10) ------------------------------------------
 
-KindOutput runQuantization(const Scenario& s, const RunOptions& opt,
-                           bool print) {
-  KindOutput out;
+void runQuantization(KindRun& r) {
+  const Scenario& s = r.s;
   const Graph g = s.topology.build();
   const auto dags = core::augmentedDagsShared(g);
   const tm::TrafficMatrix base = s.demand.build(g);
 
-  if (print) {
-    std::printf("# %s, %s base matrix: ECMP vs quantized COYOTE\n",
-                s.topology.label().c_str(), s.demand.name());
-    std::printf("%-8s %-8s", "margin", "ECMP");
-    for (const int k : s.quantize_multiplicities) {
-      std::printf(" %-12s", ("COYOTE-" + std::to_string(k) + "NH").c_str());
-    }
-    std::printf(" %-12s\n", "COYOTE-ideal");
+  r.note("# %s, %s base matrix: ECMP vs quantized COYOTE\n",
+         s.topology.label().c_str(), s.demand.name());
+  std::vector<Column> columns = {{"margin", "margin", 8, 1},
+                                 {"ECMP", "ecmp", 8, 2}};
+  for (const int k : s.quantize_multiplicities) {
+    const std::string ks = std::to_string(k);
+    columns.push_back({"COYOTE-" + ks + "NH", "quantized." + ks, 12, 2});
   }
+  columns.push_back({"COYOTE-ideal", "ideal", 12, 2});
+  r.table(std::move(columns));
 
-  for (const double margin : s.grid(opt.full)) {
+  for (const double margin : s.grid(r.opt.full)) {
     const tm::DemandBounds box = tm::marginBounds(base, margin);
     routing::PerformanceEvaluator pool(g, dags, s.sweep.coyote.lp);
     pool.addPool(tm::cornerPool(box, s.sweep.pool));
@@ -272,37 +360,28 @@ KindOutput runQuantization(const Scenario& s, const RunOptions& opt,
     json::Value row = json::Value::object();
     row["margin"] = margin;
     row["ecmp"] = ecmp;
-    if (print) std::printf("%-8.1f %-8.2f", margin, ecmp);
     json::Value quantized = json::Value::object();
     // k virtual links per interface allow multiplicity k+1 per next-hop.
     for (const int k : s.quantize_multiplicities) {
-      const double rk =
+      quantized[std::to_string(k)] =
           pool.ratioFor(fib::quantizeConfig(g, ideal.routing, k + 1));
-      if (print) std::printf(" %-12.2f", rk);
-      quantized[std::to_string(k)] = rk;
-    }
-    if (print) {
-      std::printf(" %-12.2f\n", ideal.pool_ratio);
-      std::fflush(stdout);
     }
     row["quantized"] = std::move(quantized);
     row["ideal"] = ideal.pool_ratio;
-    out.rows.push_back(std::move(row));
+    r.add(std::move(row));
   }
-  return out;
 }
 
 // --- kStretch (Fig. 11) -----------------------------------------------
 
-KindOutput runStretch(const Scenario& s, const RunOptions& opt, bool print) {
-  KindOutput out;
-  if (print) {
-    std::printf("# average path stretch vs ECMP, margin %.1f\n",
-                s.fixed_margin);
-    std::printf("%-14s %-16s %-18s\n", "network", "COYOTE-obl", "COYOTE-pk");
-  }
+void runStretch(KindRun& r) {
+  const Scenario& s = r.s;
+  r.note("# average path stretch vs ECMP, margin %.1f\n", s.fixed_margin);
+  r.table({{"network", "network", 14},
+           {"COYOTE-obl", "oblivious", 16, 3},
+           {"COYOTE-pk", "partial", 18, 3}});
 
-  for (const std::string& name : s.networkList(opt.full)) {
+  for (const std::string& name : s.networkList(r.opt.full)) {
     const Graph g = topo::makeZoo(name);
     const auto dags = core::augmentedDagsShared(g);
     const tm::TrafficMatrix base = s.demand.build(g);
@@ -313,20 +392,12 @@ KindOutput runStretch(const Scenario& s, const RunOptions& opt, bool print) {
     const core::CoyoteResult obl = core::coyoteOblivious(g, dags, copt);
     const core::CoyoteResult pk = core::coyoteWithBounds(g, dags, box, copt);
 
-    const double obl_stretch = routing::averageStretch(g, obl.routing, ecmp);
-    const double pk_stretch = routing::averageStretch(g, pk.routing, ecmp);
-    if (print) {
-      std::printf("%-14s %-16.3f %-18.3f\n", name.c_str(), obl_stretch,
-                  pk_stretch);
-      std::fflush(stdout);
-    }
     json::Value row = json::Value::object();
     row["network"] = name;
-    row["oblivious"] = obl_stretch;
-    row["partial"] = pk_stretch;
-    out.rows.push_back(std::move(row));
+    row["oblivious"] = routing::averageStretch(g, obl.routing, ecmp);
+    row["partial"] = routing::averageStretch(g, pk.routing, ecmp);
+    r.add(std::move(row));
   }
-  return out;
 }
 
 // --- kPrototype (Fig. 12) ---------------------------------------------
@@ -341,33 +412,33 @@ struct PrototypeSchedule {
   }
 };
 
-json::Value prototypeReport(const char* scheme,
-                            const std::vector<sim::StepStats>& stats,
-                            bool print) {
-  if (print) std::printf("%-8s drop%%/s:", scheme);
+void prototypeReport(KindRun& r, const char* scheme,
+                     const std::vector<sim::StepStats>& stats) {
   json::Value drops = json::Value::array();
   double sent = 0.0, del = 0.0;
   for (const auto& st : stats) {
-    if (print) std::printf(" %3.0f", 100.0 * st.dropRate());
     drops.push_back(100.0 * st.dropRate());
     sent += st.sent;
     del += st.delivered;
-  }
-  const double dropped_percent = 100.0 * (1.0 - del / sent);
-  if (print) {
-    std::printf("  | total sent %.0f Mb, dropped %.0f%%\n", sent,
-                dropped_percent);
   }
   json::Value row = json::Value::object();
   row["scheme"] = scheme;
   row["drop_percent_per_second"] = std::move(drops);
   row["sent_mb"] = sent;
-  row["dropped_percent"] = dropped_percent;
-  return row;
+  row["dropped_percent"] = 100.0 * (1.0 - del / sent);
+  const json::Value& added = r.add(std::move(row));
+
+  std::string per_second;
+  for (const json::Value& d :
+       added.find("drop_percent_per_second")->asArray()) {
+    per_second += formatted(" %3.0f", d.asNumber());
+  }
+  r.note("%-8s drop%%/s:%s  | total sent %.0f Mb, dropped %.0f%%\n", scheme,
+         per_second.c_str(), added.numberOr("sent_mb", 0.0),
+         added.numberOr("dropped_percent", 0.0));
 }
 
-KindOutput runPrototype(const Scenario&, const RunOptions&, bool print) {
-  KindOutput out;
+void runPrototype(KindRun& r) {
   const Graph g = topo::prototypeTriangle();
   const NodeId s1 = *g.findNode("s1");
   const NodeId s2 = *g.findNode("s2");
@@ -378,10 +449,8 @@ KindOutput runPrototype(const Scenario&, const RunOptions&, bool print) {
   const EdgeId s2s1 = *g.findEdge(s2, s1);
   const PrototypeSchedule sched{s1, s2};
 
-  if (print) {
-    std::printf("# Fig. 12: 1 Mbps links; 3 x 15 s scenarios "
-                "(0,2) -> (1,1) -> (2,0) Mbps; 1 s bins\n");
-  }
+  r.note("# Fig. 12: 1 Mbps links; 3 x 15 s scenarios "
+         "(0,2) -> (1,1) -> (2,0) Mbps; 1 s bins\n");
 
   {  // TE1: both sources route directly (single shared DAG).
     sim::FluidNetwork net(g);
@@ -391,7 +460,7 @@ KindOutput runPrototype(const Scenario&, const RunOptions&, bool print) {
       net.setForwarding(p, s2, {{s2t, 1.0}});
     }
     sched.install(net);
-    out.rows.push_back(prototypeReport("TE1", net.run(45.0, 1.0), print));
+    prototypeReport(r, "TE1", net.run(45.0, 1.0));
   }
   {  // TE2: s1 splits via s2; s2 direct (still one DAG for both prefixes).
     sim::FluidNetwork net(g);
@@ -401,7 +470,7 @@ KindOutput runPrototype(const Scenario&, const RunOptions&, bool print) {
       net.setForwarding(p, s2, {{s2t, 1.0}});
     }
     sched.install(net);
-    out.rows.push_back(prototypeReport("TE2", net.run(45.0, 1.0), print));
+    prototypeReport(r, "TE2", net.run(45.0, 1.0));
   }
   {  // COYOTE: per-prefix DAGs (t1 split at s1, t2 split at s2).
     sim::FluidNetwork net(g);
@@ -412,7 +481,7 @@ KindOutput runPrototype(const Scenario&, const RunOptions&, bool print) {
     net.setForwarding(1, s2, {{s2t, 0.5}, {s2s1, 0.5}});
     net.setForwarding(1, s1, {{s1t, 1.0}});
     sched.install(net);
-    out.rows.push_back(prototypeReport("COYOTE", net.run(45.0, 1.0), print));
+    prototypeReport(r, "COYOTE", net.run(45.0, 1.0));
   }
 
   // The COYOTE forwarding above is exactly what the lie-synthesis layer
@@ -448,30 +517,27 @@ KindOutput runPrototype(const Scenario&, const RunOptions&, bool print) {
                   fib::verifyRealization(model, cfg2, t, 1, 4) &&
                   model.forwardingIsLoopFree(0) &&
                   model.forwardingIsLoopFree(1);
-  if (print) {
-    std::printf("# OSPF lies realizing COYOTE's per-prefix DAGs: %d fake "
-                "nodes, verified: %s\n",
-                model.fakeNodeCount(), ok ? "yes" : "NO");
-  }
-  out.extra["fake_nodes"] = model.fakeNodeCount();
-  out.extra["verified"] = ok;
-  out.ok = ok;
-  return out;
+  r.note("# OSPF lies realizing COYOTE's per-prefix DAGs: %d fake nodes, "
+         "verified: %s\n",
+         model.fakeNodeCount(), ok ? "yes" : "NO");
+  r.extra["fake_nodes"] = model.fakeNodeCount();
+  r.extra["verified"] = ok;
+  r.ok = ok;
 }
 
 // --- kDagAug ----------------------------------------------------------
 
-KindOutput runDagAug(const Scenario& s, const RunOptions& opt, bool print) {
-  KindOutput out;
-  if (print) {
-    std::printf("# COYOTE-pk ratio, margin %.1f: shortest-path DAGs vs "
-                "augmented DAGs\n",
-                s.fixed_margin);
-    std::printf("%-14s %-10s %-10s %-10s\n", "network", "SP-DAGs",
-                "augmented", "ECMP");
-  }
+void runDagAug(KindRun& r) {
+  const Scenario& s = r.s;
+  r.note("# COYOTE-pk ratio, margin %.1f: shortest-path DAGs vs augmented "
+         "DAGs\n",
+         s.fixed_margin);
+  r.table({{"network", "network", 14},
+           {"SP-DAGs", "sp_dags", 10, 2},
+           {"augmented", "augmented", 10, 2},
+           {"ECMP", "ecmp", 10, 2}});
 
-  for (const std::string& name : s.networkList(opt.full)) {
+  for (const std::string& name : s.networkList(r.opt.full)) {
     const Graph g = topo::makeZoo(name);
     const auto aug = core::augmentedDagsShared(g);
     const auto sp =
@@ -506,22 +572,13 @@ KindOutput runDagAug(const Scenario& s, const RunOptions& opt, bool print) {
     }
     sp_on_aug.normalize(g);
 
-    const double sp_ratio = eval.ratioFor(sp_on_aug);
-    const double aug_ratio = eval.ratioFor(aug_cfg.routing);
-    const double ecmp_ratio = eval.ratioFor(routing::ecmpConfig(g, aug));
-    if (print) {
-      std::printf("%-14s %-10.2f %-10.2f %-10.2f\n", name.c_str(), sp_ratio,
-                  aug_ratio, ecmp_ratio);
-      std::fflush(stdout);
-    }
     json::Value row = json::Value::object();
     row["network"] = name;
-    row["sp_dags"] = sp_ratio;
-    row["augmented"] = aug_ratio;
-    row["ecmp"] = ecmp_ratio;
-    out.rows.push_back(std::move(row));
+    row["sp_dags"] = eval.ratioFor(sp_on_aug);
+    row["augmented"] = eval.ratioFor(aug_cfg.routing);
+    row["ecmp"] = eval.ratioFor(routing::ecmpConfig(g, aug));
+    r.add(std::move(row));
   }
-  return out;
 }
 
 // --- kOptimizer -------------------------------------------------------
@@ -537,80 +594,66 @@ double optimizerRunOnce(const Graph& g,
   return eval.ratioFor(cfg);
 }
 
-KindOutput runOptimizer(const Scenario& s, const RunOptions&, bool print) {
-  KindOutput out;
-  if (print) {
-    std::printf("# inner-optimizer ablation: pool ratio vs iterations\n");
-    std::printf("%-16s %-8s %-14s %-14s\n", "instance", "iters",
-                "GP-condens.", "mirror-desc.");
-  }
+void runOptimizer(KindRun& r) {
+  const lp::SimplexOptions& lp = r.s.sweep.coyote.lp;
+  r.note("# inner-optimizer ablation: pool ratio vs iterations\n");
+  r.table({{"instance", "instance", 16},
+           {"iters", "iterations", 8, 0},
+           {"GP-condens.", "gp_condensation", 14, 4},
+           {"mirror-desc.", "mirror_descent", 14, 4}});
 
-  const auto record = [&](const char* instance, int iters, double gp,
-                          double mirror) {
-    if (print) {
-      std::printf("%-16s %-8d %-14.4f %-14.4f\n", instance, iters, gp,
-                  mirror);
-      std::fflush(stdout);
-    }
+  const auto record = [&](const char* instance, const Graph& g,
+                          const routing::PerformanceEvaluator& eval,
+                          int iters) {
     json::Value row = json::Value::object();
     row["instance"] = instance;
     row["iterations"] = iters;
-    row["gp_condensation"] = gp;
-    row["mirror_descent"] = mirror;
-    out.rows.push_back(std::move(row));
+    row["gp_condensation"] = optimizerRunOnce(
+        g, eval, core::SplitMethod::kGpCondensation, iters);
+    row["mirror_descent"] = optimizerRunOnce(
+        g, eval, core::SplitMethod::kMirrorDescent, iters);
+    r.add(std::move(row));
   };
 
   {  // Running example: optimum is sqrt(5)-1 ~ 1.2361.
     const Graph g = topo::runningExample();
     const auto dags = core::augmentedDagsShared(g);
-    routing::PerformanceEvaluator eval(g, dags, s.sweep.coyote.lp);
+    routing::PerformanceEvaluator eval(g, dags, lp);
     tm::TrafficMatrix d1(g.numNodes()), d2(g.numNodes());
     d1.set(*g.findNode("s1"), *g.findNode("t"), 2.0);
     d2.set(*g.findNode("s2"), *g.findNode("t"), 2.0);
     eval.addMatrix(d1);
     eval.addMatrix(d2);
     for (const int iters : {50, 200, 800, 2000}) {
-      record("running-example", iters,
-             optimizerRunOnce(g, eval, core::SplitMethod::kGpCondensation,
-                              iters),
-             optimizerRunOnce(g, eval, core::SplitMethod::kMirrorDescent,
-                              iters));
+      record("running-example", g, eval, iters);
     }
-    if (print) {
-      std::printf("%-16s %-8s %-14.4f (closed form)\n", "running-example",
-                  "optimal", std::sqrt(5.0) - 1.0);
-    }
-    out.extra["closed_form_optimum"] = std::sqrt(5.0) - 1.0;
+    r.extra["closed_form_optimum"] = std::sqrt(5.0) - 1.0;
+    r.note("%-16s %-8s %-14.4f (closed form)\n", "running-example",
+           "optimal", r.extra.numberOr("closed_form_optimum", 0.0));
   }
   {  // Abilene, margin-2 corner pool.
     const Graph g = topo::makeZoo("Abilene");
     const auto dags = core::augmentedDagsShared(g);
-    routing::PerformanceEvaluator eval(g, dags, s.sweep.coyote.lp);
+    routing::PerformanceEvaluator eval(g, dags, lp);
     tm::PoolOptions popt;
     popt.source_hotspots = false;
     popt.random_corners = 4;
     eval.addPool(tm::cornerPool(
         tm::marginBounds(tm::gravityMatrix(g, 1.0), 2.0), popt));
     for (const int iters : {50, 200, 800}) {
-      record("abilene-m2", iters,
-             optimizerRunOnce(g, eval, core::SplitMethod::kGpCondensation,
-                              iters),
-             optimizerRunOnce(g, eval, core::SplitMethod::kMirrorDescent,
-                              iters));
+      record("abilene-m2", g, eval, iters);
     }
   }
-  return out;
 }
 
 // --- kHardness --------------------------------------------------------
 
-KindOutput runHardness(const Scenario& s, const RunOptions&, bool print) {
-  KindOutput out;
-  if (print) {
-    std::printf("# BIPARTITION reduction (Theorem 1 / Lemmas 2-3)\n");
-    std::printf("%-16s %-12s %-22s\n", "integer set", "positive?",
-                "best oblivious ratio");
-  }
+void runHardness(KindRun& r) {
+  const lp::SimplexOptions& lp = r.s.sweep.coyote.lp;
+  r.note("# BIPARTITION reduction (Theorem 1 / Lemmas 2-3), 4/3 = 1.3333\n");
+  r.table({{"integer set", "integer_set", 16},
+           {"positive?", "positive", 12},
+           {"best oblivious ratio", "best_oblivious_ratio", 22, 4}});
   struct Case {
     std::vector<double> w;
     bool positive;
@@ -630,8 +673,7 @@ KindOutput runHardness(const Scenario& s, const RunOptions&, bool print) {
       for (int i = 0; i < k; ++i) orient[i] = (mask >> i) & 1;
       const auto dags = hardness::bipartitionDags(inst, orient);
       routing::PerformanceEvaluator eval(
-          inst.graph, dags, s.sweep.coyote.lp,
-          routing::Normalization::kUnrestricted);
+          inst.graph, dags, lp, routing::Normalization::kUnrestricted);
       eval.addMatrix(d1);
       eval.addMatrix(d2);
       core::SplittingOptions sopt;
@@ -645,54 +687,42 @@ KindOutput runHardness(const Scenario& s, const RunOptions&, bool print) {
     for (const double wi : c.w) {
       wstr += std::to_string(static_cast<int>(wi)) + " ";
     }
-    if (print) {
-      std::printf("%-16s %-12s %.4f  (4/3 = 1.3333)\n", wstr.c_str(),
-                  c.positive ? "yes" : "no", best);
-      std::fflush(stdout);
-    }
     json::Value row = json::Value::object();
     row["kind"] = "bipartition";
     row["integer_set"] = wstr;
     row["positive"] = c.positive;
     row["best_oblivious_ratio"] = best;
-    out.rows.push_back(std::move(row));
+    r.add(std::move(row));
   }
 
-  if (print) {
-    std::printf("\n# Omega(|V|) gap (Theorem 4): path instance\n");
-    std::printf("%-6s %-24s\n", "n", "oblivious ratio (= n)");
-  }
+  r.note("\n# Omega(|V|) gap (Theorem 4): path instance\n");
+  r.table({{"n", "n", 6, 0}, {"oblivious ratio (= n)", "oblivious_ratio", 24}});
   for (const int n : {2, 4, 8, 16, 32}) {
     const hardness::PathInstance inst = hardness::makePathInstance(n);
     const auto direct = hardness::allDirectRouting(inst);
     double worst = 0.0;
     for (const auto& d : hardness::pathDemands(inst)) {
       const double mxlu = routing::maxLinkUtilization(inst.graph, direct, d);
-      const double optu = routing::optimalUtilizationUnrestricted(
-          inst.graph, d, s.sweep.coyote.lp);
+      const double optu =
+          routing::optimalUtilizationUnrestricted(inst.graph, d, lp);
       worst = std::max(worst, mxlu / optu);
-    }
-    if (print) {
-      std::printf("%-6d %.2f\n", n, worst);
-      std::fflush(stdout);
     }
     json::Value row = json::Value::object();
     row["kind"] = "path-gap";
     row["n"] = n;
     row["oblivious_ratio"] = worst;
-    out.rows.push_back(std::move(row));
+    r.add(std::move(row));
   }
-  return out;
 }
 
 // --- kFailure (src/failure/: post-failure four-scheme sweep) ----------
 
-KindOutput runFailure(const Scenario& s, const RunOptions& opt, bool print) {
-  KindOutput out;
+void runFailure(KindRun& r) {
+  const Scenario& s = r.s;
   const Graph g = s.topology.build();
   const auto dags = core::augmentedDagsShared(g);
   const tm::TrafficMatrix base = s.demand.build(g);
-  const std::vector<const te::Scheme*> schemes = selectedSchemes(opt);
+  const std::vector<const te::Scheme*> schemes = selectedSchemes(r.opt);
 
   std::vector<failure::FailureScenario> fails;
   switch (s.failure.model) {
@@ -715,17 +745,12 @@ KindOutput runFailure(const Scenario& s, const RunOptions& opt, bool print) {
   const failure::FailureEvaluator eval(g, dags, base, fopt);
   const failure::FailureSweepResult res = eval.evaluate(fails);
 
-  const int n = static_cast<int>(schemes.size());
-  const SchemeTable table(schemes, {{"failed", 24}});
-  if (print) {
-    std::printf("# %s, %s base matrix -- %s failure sweep, margin %.1f\n",
-                s.topology.label().c_str(), s.demand.name(),
-                s.failure.name(), s.fixed_margin);
-    std::printf("# post-failure ratios: worst over the corner pool, "
-                "normalized by the unrestricted optimum on the surviving "
-                "network\n");
-    table.printHeader();
-  }
+  r.note("# %s, %s base matrix -- %s failure sweep, margin %.1f\n",
+         s.topology.label().c_str(), s.demand.name(), s.failure.name(),
+         s.fixed_margin);
+  r.note("# post-failure ratios: worst over the corner pool, normalized by "
+         "the unrestricted optimum on the surviving network\n");
+  r.table(withSchemes({{"failed", "label", 24}}, schemes));
 
   for (const failure::FailureOutcome& o : res.outcomes) {
     json::Value row = json::Value::object();
@@ -733,25 +758,21 @@ KindOutput runFailure(const Scenario& s, const RunOptions& opt, bool print) {
     row["evaluated"] = o.evaluated;
     row["disconnected_pairs"] = o.disconnected_pairs;
     if (!o.evaluated) {
-      if (print) {
-        std::printf("%-24s (disconnects %d demand pair(s))\n",
-                    o.label.c_str(), o.disconnected_pairs);
-      }
-    } else {
-      json::Value unroutable = json::Value::array();
-      for (int i = 0; i < n; ++i) {
-        const char* key = schemes[i]->key();
-        if (o.routable[i]) {
-          row[key] = o.ratio[i];
-        } else {
-          unroutable.push_back(key);
-        }
-      }
-      row["unroutable"] = std::move(unroutable);
-      if (print) table.printRow({o.label}, o.ratio, &o.routable);
+      r.note("%-24s (disconnects %d demand pair(s))\n", o.label.c_str(),
+             o.disconnected_pairs);
+      r.rows.push_back(std::move(row));
+      continue;
     }
-    if (print) std::fflush(stdout);
-    out.rows.push_back(std::move(row));
+    json::Value unroutable = json::Value::array();
+    for (std::size_t i = 0; i < schemes.size(); ++i) {
+      if (o.routable[i]) {
+        row[schemes[i]->key()] = o.ratio[i];
+      } else {
+        unroutable.push_back(schemes[i]->key());
+      }
+    }
+    row["unroutable"] = std::move(unroutable);
+    r.add(std::move(row));
   }
 
   json::Value block = json::Value::object();
@@ -763,6 +784,7 @@ KindOutput runFailure(const Scenario& s, const RunOptions& opt, bool print) {
   block["disconnected_pairs"] = res.disconnected_pairs;
   block["pool_size"] = eval.poolSize();
   json::Value per_scheme = json::Value::object();
+  std::string stats;
   for (const auto& [key, st] : res.schemes) {
     json::Value v = json::Value::object();
     v["worst"] = st.worst;
@@ -771,40 +793,23 @@ KindOutput runFailure(const Scenario& s, const RunOptions& opt, bool print) {
     v["evaluated"] = st.evaluated;
     v["unroutable"] = st.unroutable;
     per_scheme[key] = std::move(v);
+    stats += formatted("  %s %.2f/%.2f/%.2f", key.c_str(), st.worst, st.median,
+                    st.p95);
   }
   block["schemes"] = std::move(per_scheme);
-  out.extra["failures"] = std::move(block);
+  r.extra["failures"] = std::move(block);
 
-  if (print) {
-    std::printf("# failures: %zu total, %d evaluated, %d disconnecting "
-                "(%d demand pair(s) cut)\n",
-                res.outcomes.size(), res.evaluated, res.disconnecting,
-                res.disconnected_pairs);
-    std::printf("# worst/median/p95:");
-    for (const auto& [key, st] : res.schemes) {
-      std::printf("  %s %.2f/%.2f/%.2f", key.c_str(), st.worst, st.median,
-                  st.p95);
-    }
-    std::printf("\n");
-  }
-  return out;
+  r.note("# failures: %zu total, %d evaluated, %d disconnecting "
+         "(%d demand pair(s) cut)\n",
+         res.outcomes.size(), res.evaluated, res.disconnecting,
+         res.disconnected_pairs);
+  r.note("# worst/median/p95:%s\n", stats.c_str());
 }
 
 // --- kServe (online TE daemon trace replay, src/serve/) ---------------
 
-/// Nearest-rank percentile of an unsorted sample (q in [0,1]).
-double percentileMs(std::vector<double> sample, double q) {
-  if (sample.empty()) return 0.0;
-  std::sort(sample.begin(), sample.end());
-  const std::size_t n = sample.size();
-  const double rank = std::ceil(q * static_cast<double>(n));
-  const std::size_t idx =
-      rank < 1.0 ? 0 : std::min(n - 1, static_cast<std::size_t>(rank) - 1);
-  return sample[idx];
-}
-
-KindOutput runServe(const Scenario& s, const RunOptions& opt, bool print) {
-  KindOutput out;
+void runServe(KindRun& r) {
+  const Scenario& s = r.s;
   const Graph g = s.topology.build();
   const tm::TrafficMatrix base = s.demand.build(g);
 
@@ -825,15 +830,13 @@ KindOutput runServe(const Scenario& s, const RunOptions& opt, bool print) {
   if (sopt.coyote.splitting.patience == 0) {
     sopt.coyote.splitting.patience = serve_patience;
   }
-  sopt.schemes = selectedSchemes(opt);
+  sopt.schemes = selectedSchemes(r.opt);
   serve::TeService service(g, base, sopt);
 
-  if (print) {
-    std::printf("# %s, %s base matrix -- online TE daemon replay: %zu "
-                "events, margin %.1f, pool %d\n",
-                s.topology.label().c_str(), s.demand.name(), trace.size(),
-                s.fixed_margin, service.poolSize());
-  }
+  r.note("# %s, %s base matrix -- online TE daemon replay: %zu events, "
+         "margin %.1f, pool %d\n",
+         s.topology.label().c_str(), s.demand.name(), trace.size(),
+         s.fixed_margin, service.poolSize());
 
   const auto opOf = [](const std::string& line) -> std::string {
     try {
@@ -863,9 +866,9 @@ KindOutput runServe(const Scenario& s, const RunOptions& opt, bool print) {
     std::vector<std::string> resp = service.handleScript(group);
     const double per_event_ms =
         1000.0 * timer.elapsedSeconds() / static_cast<double>(group.size());
-    for (std::string& r : resp) {
+    for (std::string& line : resp) {
       latency_ms.push_back(per_event_ms);
-      responses.push_back(std::move(r));
+      responses.push_back(std::move(line));
     }
     i = j;
   }
@@ -874,34 +877,29 @@ KindOutput runServe(const Scenario& s, const RunOptions& opt, bool print) {
   // Per-op event counts (deterministic for a trace seed, so the rows are
   // drift-gated) and the error total (any ok:false response fails the
   // scenario: the generator only emits well-formed requests).
-  static constexpr const char* kOps[] = {"state",  "demand",  "link",
-                                         "margin", "what-if", "reoptimize"};
-  constexpr int kNumOps = static_cast<int>(std::size(kOps));
-  int counts[kNumOps] = {};
-  for (const std::string& line : trace) {
-    const std::string op = opOf(line);
-    for (int k = 0; k < kNumOps; ++k) {
-      if (op == kOps[k]) ++counts[k];
-    }
+  std::string events;
+  for (const char* op :
+       {"state", "demand", "link", "margin", "what-if", "reoptimize"}) {
+    const int count = static_cast<int>(std::count_if(
+        trace.begin(), trace.end(),
+        [&](const std::string& line) { return opOf(line) == op; }));
+    json::Value row = json::Value::object();
+    row["op"] = op;
+    row["events"] = count;
+    r.add(std::move(row));
+    events += formatted(" %s %d", op, count);
   }
   int errors = 0;
-  for (const std::string& r : responses) {
+  for (const std::string& line : responses) {
     try {
-      const json::Value resp = json::parse(r);
+      const json::Value resp = json::parse(line);
       const json::Value* ok = resp.find("ok");
       if (ok == nullptr || !ok->isBool() || !ok->asBool()) ++errors;
     } catch (const std::exception&) {
       ++errors;
     }
   }
-  out.ok = errors == 0;
-
-  for (int k = 0; k < kNumOps; ++k) {
-    json::Value row = json::Value::object();
-    row["op"] = kOps[k];
-    row["events"] = counts[k];
-    out.rows.push_back(std::move(row));
-  }
+  r.ok = errors == 0;
 
   // Post-replay ground truth: a no-failure what-if snapshots the final
   // service state (deterministic; drift-gated like any scheme ratio).
@@ -929,53 +927,43 @@ KindOutput runServe(const Scenario& s, const RunOptions& opt, bool print) {
       block[std::string("final_") + key] = *v;
     }
   }
-  out.extra["serve"] = std::move(block);
 
-  const double events_per_second =
+  json::Value& timing = r.timing_extra;
+  timing["replay_seconds"] = replay_seconds;
+  timing["events_per_second"] =
       replay_seconds > 0.0 ? static_cast<double>(trace.size()) / replay_seconds
                            : 0.0;
-  out.timing_extra["replay_seconds"] = replay_seconds;
-  out.timing_extra["events_per_second"] = events_per_second;
-  out.timing_extra["event_p50_ms"] = percentileMs(latency_ms, 0.50);
-  out.timing_extra["event_p99_ms"] = percentileMs(latency_ms, 0.99);
+  timing["event_p50_ms"] = util::nearestRank(latency_ms, 0.50);
+  timing["event_p99_ms"] = util::nearestRank(latency_ms, 0.99);
 
-  if (print) {
-    std::printf("# events:");
-    for (int k = 0; k < kNumOps; ++k) {
-      std::printf(" %s %d", kOps[k], counts[k]);
+  r.note("# events:%s  (errors %d)\n", events.c_str(), errors);
+  r.note("# throughput: %.1f events/s, latency p50 %.2f ms, p99 %.2f ms\n",
+         timing.numberOr("events_per_second", 0.0),
+         timing.numberOr("event_p50_ms", 0.0),
+         timing.numberOr("event_p99_ms", 0.0));
+  r.note("# reoptimize: %.0f splitting iterations saved by warm starts\n",
+         block.numberOr("reoptimize_saved_iters", 0.0));
+  if (const json::Value* ratios = block.find("final_ratios")) {
+    std::string line;
+    for (const auto& [key, v] : ratios->asObject()) {
+      line += formatted("  %s %.2f", key.c_str(), v.asNumber());
     }
-    std::printf("  (errors %d)\n", errors);
-    std::printf("# throughput: %.1f events/s, latency p50 %.2f ms, "
-                "p99 %.2f ms\n",
-                events_per_second, percentileMs(latency_ms, 0.50),
-                percentileMs(latency_ms, 0.99));
-    std::printf("# reoptimize: %lld splitting iterations saved by warm "
-                "starts\n",
-                service.reoptimizeSavedIters());
-    if (const json::Value* ratios = final_state.find("ratios")) {
-      std::printf("# final ratios:");
-      for (const auto& [key, v] : ratios->asObject()) {
-        std::printf("  %s %.2f", key.c_str(), v.asNumber());
-      }
-      std::printf("\n");
-    }
-    std::fflush(stdout);
+    r.note("# final ratios:%s\n", line.c_str());
   }
-  return out;
+  r.extra["serve"] = std::move(block);
 }
 
 // --- kScaling (structured-generator size ladders) ---------------------
 
-KindOutput runScaling(const Scenario& s, const RunOptions& opt, bool print) {
-  KindOutput out;
-  const std::vector<const te::Scheme*> schemes = selectedSchemes(opt);
-  const SchemeTable table(schemes,
-                          {{"rung", 18}, {"nodes", 7}, {"edges", 7}});
-  if (print) {
-    std::printf("# scaling curve: %zu rung(s), %s base model, margin %.1f\n",
-                s.ladder.size(), s.demand.name(), s.fixed_margin);
-    table.printHeader();
-  }
+void runScaling(KindRun& r) {
+  const Scenario& s = r.s;
+  const std::vector<const te::Scheme*> schemes = selectedSchemes(r.opt);
+  r.note("# scaling curve: %zu rung(s), %s base model, margin %.1f\n",
+         s.ladder.size(), s.demand.name(), s.fixed_margin);
+  r.table(withSchemes({{"rung", "rung", 18},
+                       {"nodes", "nodes", 7, 0},
+                       {"edges", "edges", 7, 0}},
+                      schemes));
 
   // Per-rung wall-clock goes under "timing" (machine-dependent, exempt
   // from the drift gate); the rows keep only deterministic fields plus
@@ -987,71 +975,110 @@ KindOutput runScaling(const Scenario& s, const RunOptions& opt, bool print) {
     const auto dags = core::augmentedDagsShared(g);
     const tm::TrafficMatrix base = s.demand.build(g);
     const NetworkSweep sweep(g, dags, base, s.sweep, schemes);
-    const SchemeRow r = sweep.run(s.fixed_margin);
+    json::Value row = schemeRowJson(schemes, sweep.run(s.fixed_margin));
     const double seconds = rung_timer.elapsedSeconds();
 
-    if (print) {
-      table.printRow({spec.label(), std::to_string(g.numNodes()),
-                      std::to_string(g.numEdges())},
-                     r.ratio);
-      std::printf("#   %s: %.2fs, peak RSS %.1f MiB\n", spec.label().c_str(),
-                  seconds, util::peakRssMb());
-      std::fflush(stdout);
-    }
-    json::Value row = schemeRowJson(schemes, r);
     row["rung"] = spec.label();
     row["nodes"] = g.numNodes();
     row["edges"] = g.numEdges();
     row["mem_peak_rss_mb"] = util::peakRssMb();
-    out.rows.push_back(std::move(row));
+    const json::Value& added = r.add(std::move(row));
+    r.note("#   %s: %.2fs, peak RSS %.1f MiB\n", spec.label().c_str(),
+           seconds, added.numberOr("mem_peak_rss_mb", 0.0));
 
     json::Value t = json::Value::object();
     t["rung"] = spec.label();
     t["seconds"] = seconds;
     rung_seconds.push_back(std::move(t));
   }
-  out.timing_extra["rungs"] = std::move(rung_seconds);
-  return out;
+  r.timing_extra["rungs"] = std::move(rung_seconds);
 }
 
-KindOutput runKind(const Scenario& scenario, const RunOptions& opt,
-                   bool print) {
-  // The run's cold setting reaches every LP through the scenario's
-  // CoyoteOptions::lp: the sweeps, failure and serve kinds read it there,
-  // and the direct evaluator/oracle calls pass s.sweep.coyote.lp.
-  Scenario s = scenario;
-  s.sweep.coyote.lp.cold = opt.lp_cold;
-  switch (s.kind) {
-    case ScenarioKind::kSchemes:
-      return runSchemes(s, opt, print);
-    case ScenarioKind::kTable:
-      return runTable(s, opt, print);
-    case ScenarioKind::kLocalSearch:
-      return runLocalSearch(s, opt, print);
-    case ScenarioKind::kQuantization:
-      return runQuantization(s, opt, print);
-    case ScenarioKind::kStretch:
-      return runStretch(s, opt, print);
-    case ScenarioKind::kPrototype:
-      return runPrototype(s, opt, print);
-    case ScenarioKind::kDagAug:
-      return runDagAug(s, opt, print);
-    case ScenarioKind::kOptimizer:
-      return runOptimizer(s, opt, print);
-    case ScenarioKind::kHardness:
-      return runHardness(s, opt, print);
-    case ScenarioKind::kFailure:
-      return runFailure(s, opt, print);
-    case ScenarioKind::kServe:
-      return runServe(s, opt, print);
-    case ScenarioKind::kScaling:
-      return runScaling(s, opt, print);
+// --- The kind table ---------------------------------------------------
+
+/// Top-level BENCH members a kind records about what it swept (run
+/// metadata, like full/exact: it names the selection, the rows carry the
+/// values). Emitted in this order.
+enum Meta : unsigned {
+  kSchemeList = 1u << 0,    ///< "schemes": the swept scheme keys
+  kNetwork = 1u << 1,       ///< "network": the topology label
+  kNetworkList = 1u << 2,   ///< "networks": the swept Zoo names
+  kLadder = 1u << 3,        ///< "ladder": the rung labels
+  kDemandModel = 1u << 4,   ///< "demand_model"
+  kFailureModel = 1u << 5,  ///< "failure_model"
+  kMargin = 1u << 6,        ///< "margin": the fixed margin
+};
+
+struct KindInfo {
+  ScenarioKind kind;
+  const char* name;
+  void (*run)(KindRun&);
+  unsigned meta;
+};
+
+constexpr KindInfo kKinds[] = {
+    {ScenarioKind::kSchemes, "schemes", runSchemes,
+     kSchemeList | kNetwork | kDemandModel},
+    {ScenarioKind::kTable, "table", runTable,
+     kSchemeList | kNetworkList | kDemandModel},
+    {ScenarioKind::kLocalSearch, "local-search", runLocalSearch,
+     kNetwork | kDemandModel},
+    {ScenarioKind::kQuantization, "quantization", runQuantization,
+     kNetwork | kDemandModel},
+    {ScenarioKind::kStretch, "stretch", runStretch,
+     kNetworkList | kDemandModel},
+    {ScenarioKind::kPrototype, "prototype", runPrototype, 0},
+    {ScenarioKind::kDagAug, "dag-augmentation", runDagAug,
+     kNetworkList | kDemandModel},
+    {ScenarioKind::kOptimizer, "optimizer", runOptimizer, 0},
+    {ScenarioKind::kHardness, "hardness", runHardness, 0},
+    {ScenarioKind::kFailure, "failure", runFailure,
+     kSchemeList | kNetwork | kDemandModel | kFailureModel},
+    {ScenarioKind::kServe, "serve", runServe,
+     kSchemeList | kNetwork | kDemandModel},
+    {ScenarioKind::kScaling, "scaling", runScaling,
+     kSchemeList | kLadder | kDemandModel | kMargin},
+};
+
+const KindInfo* findKind(ScenarioKind kind) {
+  for (const KindInfo& k : kKinds) {
+    if (k.kind == kind) return &k;
   }
-  require(false, "unknown scenario kind");
-  return {};  // unreachable
+  return nullptr;
+}
+
+void addMetadata(json::Value& doc, const Scenario& s, const RunOptions& opt,
+                 unsigned meta) {
+  const auto strings = [](const auto& items, const auto& text) {
+    json::Value out = json::Value::array();
+    for (const auto& item : items) out.push_back(text(item));
+    return out;
+  };
+  if (meta & kSchemeList) {
+    doc["schemes"] = strings(selectedSchemes(opt), [](const te::Scheme* sch) {
+      return std::string(sch->key());
+    });
+  }
+  if (meta & kNetwork) doc["network"] = s.topology.label();
+  if (meta & kNetworkList) {
+    doc["networks"] = strings(s.networkList(opt.full),
+                              [](const std::string& n) { return n; });
+  }
+  if (meta & kLadder) {
+    doc["ladder"] = strings(
+        s.ladder, [](const TopologySpec& spec) { return spec.label(); });
+  }
+  if (meta & kDemandModel) doc["demand_model"] = s.demand.name();
+  if (meta & kFailureModel) doc["failure_model"] = s.failure.name();
+  if (meta & kMargin) doc["margin"] = s.fixed_margin;
 }
 
 }  // namespace
+
+const char* kindName(ScenarioKind kind) {
+  const KindInfo* info = findKind(kind);
+  return info != nullptr ? info->name : "unknown";
+}
 
 double ScenarioResult::minSeconds() const {
   double m = std::numeric_limits<double>::infinity();
@@ -1059,14 +1086,7 @@ double ScenarioResult::minSeconds() const {
   return seconds.empty() ? 0.0 : m;
 }
 
-double ScenarioResult::medianSeconds() const {
-  if (seconds.empty()) return 0.0;
-  std::vector<double> sorted = seconds;
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t n = sorted.size();
-  return n % 2 == 1 ? sorted[n / 2]
-                    : 0.5 * (sorted[n / 2 - 1] + sorted[n / 2]);
-}
+double ScenarioResult::medianSeconds() const { return util::median(seconds); }
 
 std::string gitDescribe() {
   std::string out;
@@ -1083,29 +1103,34 @@ std::string gitDescribe() {
   return out.empty() ? "unknown" : out;
 }
 
-ScenarioResult ExperimentRunner::run(const Scenario& s) const {
+ScenarioResult ExperimentRunner::run(const Scenario& scenario) const {
+  const KindInfo* info = findKind(scenario.kind);
+  require(info != nullptr, "unknown scenario kind");
+  // The run's cold setting reaches every LP through the scenario's
+  // CoyoteOptions::lp: the sweeps, failure and serve kinds read it there,
+  // and the direct evaluator/oracle calls pass s.sweep.coyote.lp.
+  Scenario s = scenario;
+  s.sweep.coyote.lp.cold = opt_.lp_cold;
+
   ScenarioResult result;
   result.id = s.id;
-
-  KindOutput output;
   const int total = std::max(1, opt_.repeat) + std::max(0, opt_.warmup);
   const int warmup = std::max(0, opt_.warmup);
   const lp::StatsSnapshot lp_start = lp::statsSnapshot();
   lp::StatsSnapshot lp_delta;   // last repetition (all reps do equal work)
-  double last_elapsed = 0.0;
+  std::optional<KindRun> output;
   for (int rep = 0; rep < total; ++rep) {
     // Deterministic results: print during the first execution only.
-    const bool print = opt_.print && rep == 0;
+    output.emplace(s, opt_, opt_.print && rep == 0);
     const lp::StatsSnapshot lp_before = lp::statsSnapshot();
     const util::Timer timer;
-    output = runKind(s, opt_, print);
+    info->run(*output);
     const double elapsed = timer.elapsedSeconds();
     lp_delta = lp::statsSnapshot() - lp_before;
-    last_elapsed = elapsed;
-    if (print) std::printf("# elapsed: %.1fs\n", elapsed);
+    output->note("# elapsed: %.1fs\n", elapsed);
     if (rep >= warmup) result.seconds.push_back(elapsed);
   }
-  result.ok = output.ok;
+  result.ok = output->ok;
 
   // An LP hitting its iteration limit means some reported objective is not
   // the optimum -- a silent correctness failure, surfaced here as a hard
@@ -1123,7 +1148,7 @@ ScenarioResult ExperimentRunner::run(const Scenario& s) const {
   json::Value doc = json::Value::object();
   doc["schema"] = "coyote-bench/6";
   doc["scenario"] = s.id;
-  doc["kind"] = kindName(s.kind);
+  doc["kind"] = info->name;
   doc["description"] = s.description;
   json::Value tags = json::Value::array();
   for (const std::string& t : s.tags) tags.push_back(t);
@@ -1132,65 +1157,12 @@ ScenarioResult ExperimentRunner::run(const Scenario& s) const {
   doc["threads"] = static_cast<int>(util::ThreadPool::defaultThreads());
   doc["full"] = opt_.full;
   doc["exact"] = opt_.exact;
-  // The scheme list the scheme-comparison kinds swept (run metadata, like
-  // full/exact: it names the selection, the rows carry the values).
-  switch (s.kind) {
-    case ScenarioKind::kSchemes:
-    case ScenarioKind::kTable:
-    case ScenarioKind::kFailure:
-    case ScenarioKind::kServe:
-    case ScenarioKind::kScaling: {
-      json::Value keys = json::Value::array();
-      for (const te::Scheme* sch : selectedSchemes(opt_)) {
-        keys.push_back(std::string(sch->key()));
-      }
-      doc["schemes"] = std::move(keys);
-      break;
-    }
-    default:
-      break;
-  }
-  switch (s.kind) {
-    case ScenarioKind::kSchemes:
-    case ScenarioKind::kLocalSearch:
-    case ScenarioKind::kQuantization:
-    case ScenarioKind::kServe:
-      doc["network"] = s.topology.label();
-      doc["demand_model"] = s.demand.name();
-      break;
-    case ScenarioKind::kFailure:
-      doc["network"] = s.topology.label();
-      doc["demand_model"] = s.demand.name();
-      doc["failure_model"] = s.failure.name();
-      break;
-    case ScenarioKind::kTable:
-    case ScenarioKind::kStretch:
-    case ScenarioKind::kDagAug: {
-      json::Value nets = json::Value::array();
-      for (const std::string& n : s.networkList(opt_.full)) nets.push_back(n);
-      doc["networks"] = std::move(nets);
-      doc["demand_model"] = s.demand.name();
-      break;
-    }
-    case ScenarioKind::kScaling: {
-      json::Value rungs = json::Value::array();
-      for (const TopologySpec& spec : s.ladder) {
-        rungs.push_back(spec.label());
-      }
-      doc["ladder"] = std::move(rungs);
-      doc["demand_model"] = s.demand.name();
-      doc["margin"] = s.fixed_margin;
-      break;
-    }
-    default:
-      break;
-  }
+  addMetadata(doc, s, opt_, info->meta);
   doc["ok"] = result.ok;
   // Per-scenario LP work (one repetition's worth). The counts are
   // deterministic for a binary (and for any thread count); all lp_*
-  // fields are exempt from the bench_compare drift gate. The wall-clock
-  // share of the solver lands under "timing" with the other
-  // machine-dependent data.
+  // fields are exempt from the bench_compare drift gate. The solver's
+  // seconds land under "timing" with the other machine-dependent data.
   doc["lp_solves"] = static_cast<double>(lp_delta.solves);
   doc["lp_pivots"] = static_cast<double>(lp_delta.iterations);
   doc["lp_phase1_pivots"] = static_cast<double>(lp_delta.phase1_iters);
@@ -1207,8 +1179,8 @@ ScenarioResult ExperimentRunner::run(const Scenario& s) const {
   // upper-bounds the scenario's own footprint; `mem_`-prefixed fields are
   // exempt from the drift gate and surfaced as [INFO] deltas instead.
   doc["mem_peak_rss_mb"] = util::peakRssMb();
-  doc["rows"] = std::move(output.rows);
-  for (auto& [key, value] : output.extra.asObject()) {
+  doc["rows"] = std::move(output->rows);
+  for (auto& [key, value] : output->extra.asObject()) {
     doc[key] = value;
   }
   json::Value timing = json::Value::object();
@@ -1219,16 +1191,13 @@ ScenarioResult ExperimentRunner::run(const Scenario& s) const {
   timing["seconds"] = std::move(secs);
   timing["min_seconds"] = result.minSeconds();
   timing["median_seconds"] = result.medianSeconds();
-  // Solver seconds (summed across worker threads) per wall-clock second:
-  // can exceed 1.0 when COYOTE_THREADS > 1 and the LP chunks run
-  // concurrently -- it is a utilization measure, not a percentage.
-  timing["lp_time_frac"] =
-      last_elapsed > 0.0 ? std::max(0.0, lp_delta.seconds / last_elapsed)
-                         : 0.0;
+  // Seconds inside the LP solver during the last repetition, summed over
+  // worker threads: with COYOTE_THREADS > 1 it can exceed the wall time.
+  timing["lp_cpu_seconds"] = std::max(0.0, lp_delta.seconds);
   // Kind-specific timing (kServe: events/sec and latency percentiles);
   // lives here with the other machine-dependent data so the drift gate
   // skips it, while bench_compare applies explicit regression gates.
-  for (const auto& [key, value] : output.timing_extra.asObject()) {
+  for (const auto& [key, value] : output->timing_extra.asObject()) {
     timing[key] = value;
   }
   doc["timing"] = std::move(timing);

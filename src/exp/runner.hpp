@@ -1,7 +1,9 @@
-// Executes scenarios from the ScenarioRegistry: streams each scenario's
-// text rows, times repetitions, and emits one self-describing
-// BENCH_<scenario>.json per scenario (the format bench_compare and the CI
-// perf gate consume; schema documented in EXPERIMENTS.md).
+// Executes scenarios from the ScenarioRegistry: times repetitions, emits
+// one self-describing BENCH_<scenario>.json per scenario (the format
+// bench_compare and the CI perf gate consume; schema documented in
+// EXPERIMENTS.md), and prints each scenario's text tables from the same
+// JSON rows. Each ScenarioKind is one row of the kind table in
+// runner.cpp: its name, its run function and its metadata members.
 #pragma once
 
 #include <string>
@@ -19,8 +21,8 @@ struct RunOptions {
   /// warm-vs-cold pivot A/B; COYOTE_LP_COLD in coyote_experiments).
   bool lp_cold = false;
   /// Scheme keys (te::SchemeRegistry::builtin()) the scheme-comparison
-  /// kinds (schemes/table/failure) sweep; empty = the paper's four.
-  /// Unknown keys are a hard error (the CLI validates before running).
+  /// kinds (schemes/table/failure/serve/scaling) run; empty = the paper's
+  /// four. Unknown keys are a hard error (the CLI validates first).
   std::vector<std::string> schemes;
   int repeat = 1;        ///< timed repetitions per scenario (>= 1)
   /// Untimed repetitions before the timed ones. Rows print during the
@@ -29,7 +31,7 @@ struct RunOptions {
   /// compared (CI and the baseline-refresh command both do).
   int warmup = 0;
   std::string json_dir;  ///< where BENCH_<id>.json files go; empty = none
-  bool print = true;     ///< stream the bench-identical text to stdout
+  bool print = true;     ///< print the text tables and notes to stdout
 };
 
 struct ScenarioResult {

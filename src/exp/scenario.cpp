@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <stdexcept>
 
 #include "topo/generator.hpp"
 #include "topo/zoo.hpp"
@@ -10,111 +11,93 @@
 
 namespace coyote::exp {
 
-const char* kindName(ScenarioKind kind) {
-  switch (kind) {
-    case ScenarioKind::kSchemes:
-      return "schemes";
-    case ScenarioKind::kTable:
-      return "table";
-    case ScenarioKind::kLocalSearch:
-      return "local-search";
-    case ScenarioKind::kQuantization:
-      return "quantization";
-    case ScenarioKind::kStretch:
-      return "stretch";
-    case ScenarioKind::kPrototype:
-      return "prototype";
-    case ScenarioKind::kDagAug:
-      return "dag-augmentation";
-    case ScenarioKind::kOptimizer:
-      return "optimizer";
-    case ScenarioKind::kHardness:
-      return "hardness";
-    case ScenarioKind::kFailure:
-      return "failure";
-    case ScenarioKind::kServe:
-      return "serve";
-    case ScenarioKind::kScaling:
-      return "scaling";
-  }
-  return "unknown";
-}
-
 const char* FailureSpec::name() const {
-  switch (model) {
-    case Model::kSingleLink:
-      return "single-link";
-    case Model::kDoubleLink:
-      return "double-link";
-    case Model::kSrlg:
-      return "srlg";
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {"single-link", "double-link",
+                                           "srlg"};
+  return kNames[static_cast<int>(model)];
 }
 
 // ------------------------------------------------------- TopologySpec ---
 
-Graph TopologySpec::build() const {
-  switch (kind) {
-    case Kind::kZoo:
-      return topo::makeZoo(zoo_name);
-    case Kind::kRunningExample:
-      return topo::runningExample();
-    case Kind::kPrototypeTriangle:
-      return topo::prototypeTriangle();
-    case Kind::kRing:
-      return topo::ring(a);
-    case Kind::kGrid:
-      return topo::grid(a, b);
-    case Kind::kFullMesh:
-      return topo::fullMesh(a);
-    case Kind::kRandomBackbone:
-      return topo::randomBackbone(a, avg_degree, seed);
-    case Kind::kFatTree:
-      return topo::fatTree(a);
-    case Kind::kDragonfly:
-      return topo::dragonfly(a, b, c);
-    case Kind::kHammingMesh:
-      return topo::hammingMesh(a, b, c, d);
-    case Kind::kTorus2d:
-      return topo::torus2d(a, b);
+namespace {
+
+using Spec = TopologySpec;
+
+std::string num(int v) { return std::to_string(v); }
+
+/// One row per topology kind: how to build it and how to label it.
+struct TopologyKind {
+  Spec::Kind kind;
+  Graph (*build)(const Spec&);
+  std::string (*label)(const Spec&);
+};
+
+const TopologyKind kTopologyKinds[] = {
+    {Spec::Kind::kZoo, [](const Spec& t) { return topo::makeZoo(t.zoo_name); },
+     [](const Spec& t) { return t.zoo_name; }},
+    {Spec::Kind::kRunningExample,
+     [](const Spec&) { return topo::runningExample(); },
+     [](const Spec&) { return std::string("running-example"); }},
+    {Spec::Kind::kPrototypeTriangle,
+     [](const Spec&) { return topo::prototypeTriangle(); },
+     [](const Spec&) { return std::string("prototype-triangle"); }},
+    {Spec::Kind::kRing, [](const Spec& t) { return topo::ring(t.a); },
+     [](const Spec& t) { return "ring" + num(t.a); }},
+    {Spec::Kind::kGrid, [](const Spec& t) { return topo::grid(t.a, t.b); },
+     [](const Spec& t) { return "grid" + num(t.a) + "x" + num(t.b); }},
+    {Spec::Kind::kFullMesh, [](const Spec& t) { return topo::fullMesh(t.a); },
+     [](const Spec& t) { return "mesh" + num(t.a); }},
+    {Spec::Kind::kRandomBackbone,
+     [](const Spec& t) {
+       return topo::randomBackbone(t.a, t.avg_degree, t.seed);
+     },
+     [](const Spec& t) {
+       char deg[16];
+       std::snprintf(deg, sizeof(deg), "%.1f", t.avg_degree);
+       return "backbone" + num(t.a) + "-d" + deg + "-s" +
+              std::to_string(t.seed);
+     }},
+    {Spec::Kind::kFatTree, [](const Spec& t) { return topo::fatTree(t.a); },
+     [](const Spec& t) { return "fattree" + num(t.a); }},
+    {Spec::Kind::kDragonfly,
+     [](const Spec& t) { return topo::dragonfly(t.a, t.b, t.c); },
+     [](const Spec& t) {
+       return "dragonfly-a" + num(t.a) + "p" + num(t.b) + "h" + num(t.c);
+     }},
+    {Spec::Kind::kHammingMesh,
+     [](const Spec& t) { return topo::hammingMesh(t.a, t.b, t.c, t.d); },
+     [](const Spec& t) {
+       return "hmesh" + num(t.a) + "x" + num(t.b) + "b" + num(t.c) + "x" +
+              num(t.d);
+     }},
+    {Spec::Kind::kTorus2d,
+     [](const Spec& t) { return topo::torus2d(t.a, t.b); },
+     [](const Spec& t) { return "torus" + num(t.a) + "x" + num(t.b); }},
+};
+
+const TopologyKind& topologyKind(Spec::Kind kind) {
+  for (const TopologyKind& k : kTopologyKinds) {
+    if (k.kind == kind) return k;
   }
-  require(false, "unknown topology kind");
-  return topo::runningExample();  // unreachable
+  throw std::invalid_argument("unknown topology kind");
 }
 
+Spec sized(Spec::Kind kind, int a, int b = 0, int c = 0, int d = 0) {
+  Spec t;
+  t.kind = kind;
+  t.a = a;
+  t.b = b;
+  t.c = c;
+  t.d = d;
+  return t;
+}
+
+}  // namespace
+
+Graph TopologySpec::build() const { return topologyKind(kind).build(*this); }
+
 std::string TopologySpec::label() const {
-  switch (kind) {
-    case Kind::kZoo:
-      return zoo_name;
-    case Kind::kRunningExample:
-      return "running-example";
-    case Kind::kPrototypeTriangle:
-      return "prototype-triangle";
-    case Kind::kRing:
-      return "ring" + std::to_string(a);
-    case Kind::kGrid:
-      return "grid" + std::to_string(a) + "x" + std::to_string(b);
-    case Kind::kFullMesh:
-      return "mesh" + std::to_string(a);
-    case Kind::kRandomBackbone: {
-      char deg[16];
-      std::snprintf(deg, sizeof(deg), "%.1f", avg_degree);
-      return "backbone" + std::to_string(a) + "-d" + deg + "-s" +
-             std::to_string(seed);
-    }
-    case Kind::kFatTree:
-      return "fattree" + std::to_string(a);
-    case Kind::kDragonfly:
-      return "dragonfly-a" + std::to_string(a) + "p" + std::to_string(b) +
-             "h" + std::to_string(c);
-    case Kind::kHammingMesh:
-      return "hmesh" + std::to_string(a) + "x" + std::to_string(b) + "b" +
-             std::to_string(c) + "x" + std::to_string(d);
-    case Kind::kTorus2d:
-      return "torus" + std::to_string(a) + "x" + std::to_string(b);
-  }
-  return "unknown";
+  return topologyKind(kind).label(*this);
 }
 
 TopologySpec TopologySpec::zoo(std::string name) {
@@ -124,70 +107,36 @@ TopologySpec TopologySpec::zoo(std::string name) {
   return t;
 }
 
-TopologySpec TopologySpec::ring(int n) {
-  TopologySpec t;
-  t.kind = Kind::kRing;
-  t.a = n;
-  return t;
-}
+TopologySpec TopologySpec::ring(int n) { return sized(Kind::kRing, n); }
 
 TopologySpec TopologySpec::grid(int rows, int cols) {
-  TopologySpec t;
-  t.kind = Kind::kGrid;
-  t.a = rows;
-  t.b = cols;
-  return t;
+  return sized(Kind::kGrid, rows, cols);
 }
 
 TopologySpec TopologySpec::fullMesh(int n) {
-  TopologySpec t;
-  t.kind = Kind::kFullMesh;
-  t.a = n;
-  return t;
+  return sized(Kind::kFullMesh, n);
 }
 
 TopologySpec TopologySpec::randomBackbone(int n, double avg_degree,
                                           std::uint64_t seed) {
-  TopologySpec t;
-  t.kind = Kind::kRandomBackbone;
-  t.a = n;
+  TopologySpec t = sized(Kind::kRandomBackbone, n);
   t.avg_degree = avg_degree;
   t.seed = seed;
   return t;
 }
 
-TopologySpec TopologySpec::fatTree(int k) {
-  TopologySpec t;
-  t.kind = Kind::kFatTree;
-  t.a = k;
-  return t;
-}
+TopologySpec TopologySpec::fatTree(int k) { return sized(Kind::kFatTree, k); }
 
 TopologySpec TopologySpec::dragonfly(int a, int p, int h) {
-  TopologySpec t;
-  t.kind = Kind::kDragonfly;
-  t.a = a;
-  t.b = p;
-  t.c = h;
-  return t;
+  return sized(Kind::kDragonfly, a, p, h);
 }
 
 TopologySpec TopologySpec::hammingMesh(int x, int y, int bx, int by) {
-  TopologySpec t;
-  t.kind = Kind::kHammingMesh;
-  t.a = x;
-  t.b = y;
-  t.c = bx;
-  t.d = by;
-  return t;
+  return sized(Kind::kHammingMesh, x, y, bx, by);
 }
 
 TopologySpec TopologySpec::torus2d(int rows, int cols) {
-  TopologySpec t;
-  t.kind = Kind::kTorus2d;
-  t.a = rows;
-  t.b = cols;
-  return t;
+  return sized(Kind::kTorus2d, rows, cols);
 }
 
 // --------------------------------------------------------- DemandSpec ---
@@ -213,15 +162,8 @@ tm::TrafficMatrix DemandSpec::build(const Graph& g) const {
 }
 
 const char* DemandSpec::name() const {
-  switch (model) {
-    case Model::kGravity:
-      return "gravity";
-    case Model::kBimodal:
-      return "bimodal";
-    case Model::kUniform:
-      return "uniform";
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {"gravity", "bimodal", "uniform"};
+  return kNames[static_cast<int>(model)];
 }
 
 // ----------------------------------------------------------- Scenario ---
@@ -295,47 +237,42 @@ const ScenarioRegistry& ScenarioRegistry::global() {
 }
 
 ScenarioRegistry::ScenarioRegistry() {
+  // Four-scheme margin sweep over margins 1..3: Figs. 6-8 and the zoo
+  // and synthetic extension grids below.
+  const auto addSweep = [&](std::string id, std::string description,
+                            std::vector<std::string> tags,
+                            TopologySpec topology, DemandSpec::Model model) {
+    Scenario s;
+    s.id = std::move(id);
+    s.description = std::move(description);
+    s.tags = std::move(tags);
+    s.kind = ScenarioKind::kSchemes;
+    s.topology = std::move(topology);
+    s.demand = demandModel(model);
+    s.margins = marginGrid(3.0, false);
+    s.full_margins = marginGrid(3.0, true);
+    add(std::move(s));
+  };
+
   // --- The paper's figures -------------------------------------------
-  {
-    Scenario s;
-    s.id = "fig06";
-    s.description =
-        "Fig. 6: Geant, gravity base model -- four-scheme margin sweep";
-    s.tags = {"figure", "zoo", "schemes"};
-    s.kind = ScenarioKind::kSchemes;
-    s.topology = TopologySpec::zoo("Geant");
-    s.demand = demandModel(DemandSpec::Model::kGravity);
-    s.margins = marginGrid(3.0, false);
-    s.full_margins = marginGrid(3.0, true);
-    add(std::move(s));
-  }
-  {
-    Scenario s;
-    s.id = "fig07";
-    s.description =
-        "Fig. 7: Digex, gravity base model -- sparse hub-heavy network "
-        "where ECMP's equal splitting hurts most";
-    s.tags = {"figure", "zoo", "schemes"};
-    s.kind = ScenarioKind::kSchemes;
-    s.topology = TopologySpec::zoo("Digex");
-    s.demand = demandModel(DemandSpec::Model::kGravity);
-    s.margins = marginGrid(3.0, false);
-    s.full_margins = marginGrid(3.0, true);
-    add(std::move(s));
-  }
-  {
-    Scenario s;
-    s.id = "fig08";
-    s.description =
-        "Fig. 8: AS1755, bimodal (elephants/mice) base model -- gravity "
-        "trends persist under structured demands";
-    s.tags = {"figure", "zoo", "schemes"};
-    s.kind = ScenarioKind::kSchemes;
-    s.topology = TopologySpec::zoo("AS1755");
-    s.demand = demandModel(DemandSpec::Model::kBimodal, 23);
-    s.margins = marginGrid(3.0, false);
-    s.full_margins = marginGrid(3.0, true);
-    add(std::move(s));
+  const struct {
+    const char* id;
+    const char* zoo;
+    DemandSpec::Model model;
+    const char* description;
+  } kSweepFigures[] = {
+      {"fig06", "Geant", DemandSpec::Model::kGravity,
+       "Fig. 6: Geant, gravity base model -- four-scheme margin sweep"},
+      {"fig07", "Digex", DemandSpec::Model::kGravity,
+       "Fig. 7: Digex, gravity base model -- sparse hub-heavy network "
+       "where ECMP's equal splitting hurts most"},
+      {"fig08", "AS1755", DemandSpec::Model::kBimodal,
+       "Fig. 8: AS1755, bimodal (elephants/mice) base model -- gravity "
+       "trends persist under structured demands"},
+  };
+  for (const auto& f : kSweepFigures) {
+    addSweep(f.id, f.description, {"figure", "zoo", "schemes"},
+             TopologySpec::zoo(f.zoo), f.model);
   }
   {
     Scenario s;
@@ -489,72 +426,54 @@ ScenarioRegistry::ScenarioRegistry() {
 
   // --- Extension grid: every Zoo topology x base-demand model --------
   for (const std::string& name : topo::zooNames()) {
-    static const struct {
-      DemandSpec::Model model;
-      const char* suffix;
-    } kModels[] = {
-        {DemandSpec::Model::kGravity, "gravity"},
-        {DemandSpec::Model::kBimodal, "bimodal"},
-        {DemandSpec::Model::kUniform, "uniform"},
-    };
-    for (const auto& m : kModels) {
-      Scenario s;
-      s.id = "zoo-" + lowered(name) + "-" + m.suffix;
-      s.description = name + ", " + m.suffix +
-                      " base model -- four-scheme margin sweep (extension "
-                      "grid beyond the paper's figures)";
-      s.tags = {"grid", "zoo", "schemes", m.suffix};
-      s.kind = ScenarioKind::kSchemes;
-      s.topology = TopologySpec::zoo(name);
-      s.demand = demandModel(m.model, 23);
-      s.margins = marginGrid(3.0, false);
-      s.full_margins = marginGrid(3.0, true);
-      add(std::move(s));
+    for (const DemandSpec::Model model :
+         {DemandSpec::Model::kGravity, DemandSpec::Model::kBimodal,
+          DemandSpec::Model::kUniform}) {
+      const std::string suffix = demandModel(model).name();
+      addSweep("zoo-" + lowered(name) + "-" + suffix,
+               name + ", " + suffix +
+                   " base model -- four-scheme margin sweep (extension "
+                   "grid beyond the paper's figures)",
+               {"grid", "zoo", "schemes", suffix}, TopologySpec::zoo(name),
+               model);
     }
   }
 
   // --- Extension grid: synthetic topologies --------------------------
-  const auto addSynthetic = [&](const std::string& id, TopologySpec topo_spec,
-                                DemandSpec::Model model, bool small) {
-    Scenario s;
-    s.id = id;
-    s.description = topo_spec.label() + std::string(", ") +
-                    demandModel(model).name() +
-                    " base model -- four-scheme margin sweep on a "
-                    "topo::generator topology";
-    s.tags = {"grid", "synthetic", "schemes"};
-    if (small) {
-      s.tags.emplace_back("small");
-      s.tags.emplace_back("smoke");
-    }
-    s.kind = ScenarioKind::kSchemes;
-    s.topology = topo_spec;
-    s.demand = demandModel(model, 23);
-    s.margins = marginGrid(3.0, false);
-    s.full_margins = marginGrid(3.0, true);
-    add(std::move(s));
+  const struct {
+    const char* id;
+    TopologySpec topology;
+    DemandSpec::Model model;
+    bool small;
+  } kSynthetic[] = {
+      {"synth-ring8-uniform", TopologySpec::ring(8),
+       DemandSpec::Model::kUniform, true},
+      {"synth-ring16-gravity", TopologySpec::ring(16),
+       DemandSpec::Model::kGravity, false},
+      {"synth-grid3x3-gravity", TopologySpec::grid(3, 3),
+       DemandSpec::Model::kGravity, true},
+      {"synth-grid4x4-uniform", TopologySpec::grid(4, 4),
+       DemandSpec::Model::kUniform, false},
+      {"synth-mesh6-bimodal", TopologySpec::fullMesh(6),
+       DemandSpec::Model::kBimodal, true},
+      {"synth-mesh8-gravity", TopologySpec::fullMesh(8),
+       DemandSpec::Model::kGravity, false},
+      {"synth-backbone16-gravity", TopologySpec::randomBackbone(16, 3.0, 5),
+       DemandSpec::Model::kGravity, false},
+      {"synth-backbone24-bimodal", TopologySpec::randomBackbone(24, 3.5, 9),
+       DemandSpec::Model::kBimodal, false},
+      {"synth-backbone32-uniform", TopologySpec::randomBackbone(32, 3.0, 13),
+       DemandSpec::Model::kUniform, false},
   };
-  addSynthetic("synth-ring8-uniform", TopologySpec::ring(8),
-               DemandSpec::Model::kUniform, /*small=*/true);
-  addSynthetic("synth-ring16-gravity", TopologySpec::ring(16),
-               DemandSpec::Model::kGravity, /*small=*/false);
-  addSynthetic("synth-grid3x3-gravity", TopologySpec::grid(3, 3),
-               DemandSpec::Model::kGravity, /*small=*/true);
-  addSynthetic("synth-grid4x4-uniform", TopologySpec::grid(4, 4),
-               DemandSpec::Model::kUniform, /*small=*/false);
-  addSynthetic("synth-mesh6-bimodal", TopologySpec::fullMesh(6),
-               DemandSpec::Model::kBimodal, /*small=*/true);
-  addSynthetic("synth-mesh8-gravity", TopologySpec::fullMesh(8),
-               DemandSpec::Model::kGravity, /*small=*/false);
-  addSynthetic("synth-backbone16-gravity",
-               TopologySpec::randomBackbone(16, 3.0, 5),
-               DemandSpec::Model::kGravity, /*small=*/false);
-  addSynthetic("synth-backbone24-bimodal",
-               TopologySpec::randomBackbone(24, 3.5, 9),
-               DemandSpec::Model::kBimodal, /*small=*/false);
-  addSynthetic("synth-backbone32-uniform",
-               TopologySpec::randomBackbone(32, 3.0, 13),
-               DemandSpec::Model::kUniform, /*small=*/false);
+  for (const auto& syn : kSynthetic) {
+    std::vector<std::string> tags = {"grid", "synthetic", "schemes"};
+    if (syn.small) tags.insert(tags.end(), {"small", "smoke"});
+    addSweep(syn.id,
+             syn.topology.label() + ", " + demandModel(syn.model).name() +
+                 " base model -- four-scheme margin sweep on a "
+                 "topo::generator topology",
+             std::move(tags), syn.topology, syn.model);
+  }
 
   // --- Failure variants (src/failure/): post-failure four-scheme sweeps
   // --- derived from every smoke/figure scenario with a single topology.
@@ -663,27 +582,56 @@ ScenarioRegistry::ScenarioRegistry() {
   // deterministic lowest-id tie-break selects the same destination set
   // from every source); the fat-tree ladders additionally aggregate
   // demands at "edge" switches, the paper-style host-aggregated model.
-  const auto scalingScenario = [&](const std::string& id, const char* family,
-                                   std::vector<TopologySpec> ladder,
-                                   int top_k, const char* endpoint_prefix,
-                                   bool smoke) {
+  const auto fat = [](int k) { return TopologySpec::fatTree(k); };
+  const auto fly = [](int a, int p, int h) {
+    return TopologySpec::dragonfly(a, p, h);
+  };
+  const auto hmesh = [](int x) {
+    return TopologySpec::hammingMesh(x, x, 4, 4);
+  };
+  const struct {
+    const char* id;
+    const char* family;
+    std::vector<TopologySpec> ladder;
+    const char* endpoint_prefix;
+    bool smoke;
+  } kLadders[] = {
+      {"scaling-fattree-smoke", "fat-tree (smoke rung)", {fat(4)}, "edge",
+       true},
+      {"scaling-fattree-k8", "fat-tree", {fat(4), fat(6), fat(8)}, "edge",
+       false},
+      {"scaling-fattree-k12", "fat-tree", {fat(4), fat(8), fat(12)}, "edge",
+       false},
+      {"scaling-fattree-k16", "fat-tree", {fat(8), fat(12), fat(16)}, "edge",
+       false},
+      {"scaling-dragonfly-a4", "dragonfly",
+       {fly(2, 1, 1), fly(3, 2, 2), fly(4, 2, 2)}, "", false},
+      {"scaling-dragonfly-a8", "dragonfly",
+       {fly(4, 2, 2), fly(6, 2, 3), fly(8, 2, 4)}, "", false},
+      {"scaling-hmesh-x2", "HammingMesh",
+       {TopologySpec::hammingMesh(2, 2, 2, 2), hmesh(2)}, "", false},
+      {"scaling-hmesh-x3", "HammingMesh", {hmesh(2), hmesh(3), hmesh(4)}, "",
+       false},
+      {"scaling-torus", "2-D torus",
+       {TopologySpec::torus2d(4, 4), TopologySpec::torus2d(8, 8),
+        TopologySpec::torus2d(12, 12)},
+       "", false},
+  };
+  for (const auto& l : kLadders) {
     Scenario s;
-    s.id = id;
+    s.id = l.id;
     s.description =
-        std::string(family) +
+        std::string(l.family) +
         " size ladder -- scheme ratios plus optimize-time / peak-RSS / "
         "lp-pivot scaling curves, one rung per topology size";
     s.tags = {"scaling", "synthetic"};
-    if (smoke) {
-      s.tags.emplace_back("small");
-      s.tags.emplace_back("smoke");
-    }
+    if (l.smoke) s.tags.insert(s.tags.end(), {"small", "smoke"});
     s.kind = ScenarioKind::kScaling;
-    s.topology = ladder.front();  // smallest rung, for single-topo consumers
-    s.ladder = std::move(ladder);
+    s.topology = l.ladder.front();  // smallest rung, for single-topo consumers
+    s.ladder = l.ladder;
     s.demand = demandModel(DemandSpec::Model::kGravity);
-    s.demand.top_k = top_k;
-    s.demand.endpoint_prefix = endpoint_prefix;
+    s.demand.top_k = 8;
+    s.demand.endpoint_prefix = l.endpoint_prefix;
     s.fixed_margin = 2.0;
     // Scaling rungs measure optimize cost growth, not ratio quality:
     // a small fixed evaluation pool and iteration budget keep every rung
@@ -702,44 +650,7 @@ ScenarioRegistry::ScenarioRegistry() {
     s.sweep.coyote.oblivious_pool.random_sparse = 4;
     s.sweep.coyote.splitting.iterations = 120;
     add(std::move(s));
-  };
-  scalingScenario("scaling-fattree-smoke", "fat-tree (smoke rung)",
-                  {TopologySpec::fatTree(4)}, 8, "edge", /*smoke=*/true);
-  scalingScenario("scaling-fattree-k8", "fat-tree",
-                  {TopologySpec::fatTree(4), TopologySpec::fatTree(6),
-                   TopologySpec::fatTree(8)},
-                  8, "edge", /*smoke=*/false);
-  scalingScenario("scaling-fattree-k12", "fat-tree",
-                  {TopologySpec::fatTree(4), TopologySpec::fatTree(8),
-                   TopologySpec::fatTree(12)},
-                  8, "edge", /*smoke=*/false);
-  scalingScenario("scaling-fattree-k16", "fat-tree",
-                  {TopologySpec::fatTree(8), TopologySpec::fatTree(12),
-                   TopologySpec::fatTree(16)},
-                  8, "edge", /*smoke=*/false);
-  scalingScenario("scaling-dragonfly-a4", "dragonfly",
-                  {TopologySpec::dragonfly(2, 1, 1),
-                   TopologySpec::dragonfly(3, 2, 2),
-                   TopologySpec::dragonfly(4, 2, 2)},
-                  8, "", /*smoke=*/false);
-  scalingScenario("scaling-dragonfly-a8", "dragonfly",
-                  {TopologySpec::dragonfly(4, 2, 2),
-                   TopologySpec::dragonfly(6, 2, 3),
-                   TopologySpec::dragonfly(8, 2, 4)},
-                  8, "", /*smoke=*/false);
-  scalingScenario("scaling-hmesh-x2", "HammingMesh",
-                  {TopologySpec::hammingMesh(2, 2, 2, 2),
-                   TopologySpec::hammingMesh(2, 2, 4, 4)},
-                  8, "", /*smoke=*/false);
-  scalingScenario("scaling-hmesh-x3", "HammingMesh",
-                  {TopologySpec::hammingMesh(2, 2, 4, 4),
-                   TopologySpec::hammingMesh(3, 3, 4, 4),
-                   TopologySpec::hammingMesh(4, 4, 4, 4)},
-                  8, "", /*smoke=*/false);
-  scalingScenario("scaling-torus", "2-D torus",
-                  {TopologySpec::torus2d(4, 4), TopologySpec::torus2d(8, 8),
-                   TopologySpec::torus2d(12, 12)},
-                  8, "", /*smoke=*/false);
+  }
 }
 
 }  // namespace coyote::exp

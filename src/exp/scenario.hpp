@@ -36,6 +36,7 @@ enum class ScenarioKind {
   kScaling,       ///< size-ladder scaling curves on structured generators
 };
 
+/// "schemes", "table", ...; read from the kind table in runner.cpp.
 [[nodiscard]] const char* kindName(ScenarioKind kind);
 
 /// How to build the scenario's graph. Deterministic in its fields.

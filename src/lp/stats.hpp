@@ -3,8 +3,8 @@
 // Every lp::SimplexSolver::solve() (and therefore every lp::solve()) adds
 // its pivot/refactorization counts and wall time to a set of atomic
 // counters. The experiment runner snapshots the counters around each
-// scenario to report `lp_solves`, `lp_pivots`, and `lp_time_frac` in the
-// BENCH JSON (schema coyote-bench/2), and to turn Status::kIterLimit --
+// scenario to report `lp_solves`, `lp_pivots`, and `timing.lp_cpu_seconds`
+// in the BENCH JSON, and to turn Status::kIterLimit --
 // which the routing layers would otherwise fold into a silent ratio-0 /
 // non-optimal objective -- into a hard per-scenario error.
 //

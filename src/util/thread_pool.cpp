@@ -1,10 +1,10 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
 #include <string>
 
+#include "util/parse.hpp"
 #include "util/require.hpp"
 
 namespace coyote::util {
@@ -138,15 +138,7 @@ unsigned ThreadPool::defaultThreads() {
 
 unsigned ThreadPool::parseThreadCount(const std::string& text,
                                       const char* what) {
-  // from_chars into an unsigned takes digits only (no sign, no
-  // whitespace) and reports overflow instead of wrapping.
-  unsigned value = 0;
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, value);
-  require(ec == std::errc() && stop == end && value <= kMaxThreads,
-          std::string(what) + ": expected an integer in [0, " +
-              std::to_string(kMaxThreads) + "], got '" + text + "'");
-  return value;
+  return parseInteger<unsigned>(text, 0, kMaxThreads, what);
 }
 
 }  // namespace coyote::util

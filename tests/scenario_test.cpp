@@ -1,13 +1,17 @@
-// exp::ScenarioRegistry -- the experiment grid behind coyote_experiments
-// and the per-figure bench shims: id uniqueness, filtering, and that every
-// registered scenario actually builds (graph, base matrix, corner pool).
+// exp::ScenarioRegistry -- the experiment grid behind coyote_experiments:
+// id uniqueness, filtering, that every registered scenario actually builds
+// (graph, base matrix, corner pool), and that the runner's kind table
+// names every kind and records each kind's metadata.
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "core/dag_builder.hpp"
+#include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
 #include "tm/uncertainty.hpp"
@@ -226,6 +230,86 @@ TEST(ScenarioRegistry, EveryScenarioBuildsGraphMatrixAndPool) {
       EXPECT_TRUE(box.contains(d));
     }
   }
+}
+
+TEST(ScenarioKinds, EveryKindHasAUniqueName) {
+  std::set<std::string> names;
+  for (int k = 0; k <= static_cast<int>(ScenarioKind::kScaling); ++k) {
+    const std::string name = kindName(static_cast<ScenarioKind>(k));
+    EXPECT_NE(name, "unknown") << "kind " << k;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate kind name " << name;
+  }
+}
+
+TEST(ScenarioKinds, EachDocumentCarriesExactlyItsMetadata) {
+  // The top-level members a kind records about what it swept, in
+  // document order; no kind may carry another kind's members.
+  const std::vector<std::string> kAllMeta = {
+      "schemes", "network", "networks", "ladder",
+      "demand_model", "failure_model", "margin"};
+  const std::map<std::string, std::vector<std::string>> kExpected = {
+      {"schemes", {"schemes", "network", "demand_model"}},
+      {"table", {"schemes", "networks", "demand_model"}},
+      {"local-search", {"network", "demand_model"}},
+      {"quantization", {"network", "demand_model"}},
+      {"stretch", {"networks", "demand_model"}},
+      {"prototype", {}},
+      {"dag-augmentation", {"networks", "demand_model"}},
+      {"optimizer", {}},
+      {"hardness", {}},
+      {"failure", {"schemes", "network", "demand_model", "failure_model"}},
+      {"serve", {"schemes", "network", "demand_model"}},
+      {"scaling", {"schemes", "ladder", "demand_model", "margin"}},
+  };
+
+  // The cheapest registered scenario of each kind; the kinds without a
+  // cheap one run a trimmed copy (one margin on Gambia, the smallest Zoo
+  // network).
+  std::vector<Scenario> runs;
+  for (const char* id :
+       {"running-example", "fig12", "ablation-optimizer", "ablation-hardness",
+        "running-example-fail1", "serve-running-example",
+        "scaling-fattree-smoke"}) {
+    ASSERT_NE(reg().find(id), nullptr) << id;
+    runs.push_back(*reg().find(id));
+  }
+  for (const char* id : {"table1", "fig11", "ablation-dag-aug"}) {
+    ASSERT_NE(reg().find(id), nullptr) << id;
+    Scenario s = *reg().find(id);
+    s.networks = {"Gambia"};
+    s.margins = {2.0};
+    runs.push_back(std::move(s));
+  }
+  for (const char* id : {"fig09", "fig10"}) {
+    ASSERT_NE(reg().find(id), nullptr) << id;
+    Scenario s = *reg().find(id);
+    s.topology = TopologySpec::zoo("Gambia");
+    s.margins = {2.0};
+    runs.push_back(std::move(s));
+  }
+
+  RunOptions opt;
+  opt.print = false;
+  const ExperimentRunner runner(opt);
+  std::set<std::string> seen;
+  for (const Scenario& s : runs) {
+    SCOPED_TRACE(s.id);
+    const ScenarioResult result = runner.run(s);
+    EXPECT_TRUE(result.ok);
+    const std::string kind = result.document.stringOr("kind", "");
+    EXPECT_EQ(kind, kindName(s.kind));
+    seen.insert(kind);
+    ASSERT_EQ(kExpected.count(kind), 1u) << kind;
+    std::vector<std::string> meta;
+    for (const auto& [key, value] : result.document.asObject()) {
+      for (const std::string& m : kAllMeta) {
+        if (key == m) meta.push_back(key);
+      }
+    }
+    EXPECT_EQ(meta, kExpected.at(kind));
+    EXPECT_FALSE(result.document.find("rows")->asArray().empty());
+  }
+  EXPECT_EQ(seen.size(), kExpected.size());  // every kind ran
 }
 
 TEST(ScenarioRegistry, ExplicitConstructionRejectsDuplicates) {

@@ -3,7 +3,8 @@
 // machine-readable BENCH_<scenario>.json output for the CI perf gate
 // (bench_compare). See EXPERIMENTS.md.
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "exp/scenario.hpp"
 #include "scheme/registry.hpp"
 #include "util/env.hpp"
+#include "util/parse.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -40,8 +42,9 @@ int usage(const char* argv0, int code) {
                "  --repeat <n>       timed repetitions per scenario "
                "(default 1)\n"
                "  --warmup <n>       untimed repetitions first (default 0)\n"
-               "  --schemes <a,b,c>  scheme keys the schemes/table/failure "
-               "kinds sweep\n"
+               "  --schemes <a,b,c>  scheme keys the schemes/table/failure/"
+               "serve/scaling\n"
+               "                     kinds sweep\n"
                "                     (default: the paper's four; unknown "
                "keys are an error)\n"
                "  --list-schemes     list the registered TE schemes and "
@@ -58,6 +61,18 @@ int usage(const char* argv0, int code) {
                "the lp_pivots delta against a default run).\n",
                argv0);
   return code;
+}
+
+/// The value of an integer flag in [lo, INT_MAX]; anything else (junk,
+/// a sign, overflow) exits 2 with an error naming the flag.
+int countFlag(const char* text, int lo, const std::string& flag) {
+  try {
+    return util::parseInteger(text, lo, std::numeric_limits<int>::max(),
+                              flag.c_str());
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
 }
 
 void listScenarios(const std::vector<const exp::Scenario*>& scenarios) {
@@ -159,17 +174,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--json-dir") {
       opt.json_dir = next();
     } else if (arg == "--repeat") {
-      opt.repeat = std::atoi(next());
-      if (opt.repeat < 1) {
-        std::fprintf(stderr, "--repeat must be >= 1\n");
-        return 2;
-      }
+      opt.repeat = countFlag(next(), 1, arg);
     } else if (arg == "--warmup") {
-      opt.warmup = std::atoi(next());
-      if (opt.warmup < 0) {
-        std::fprintf(stderr, "--warmup must be >= 0\n");
-        return 2;
-      }
+      opt.warmup = countFlag(next(), 0, arg);
     } else if (arg == "--quick") {
       opt.full = false;
     } else if (arg == "--full") {

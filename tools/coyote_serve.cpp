@@ -19,10 +19,12 @@
 //
 // COYOTE_LP_COLD=1 cold-starts every LP solve (the warm-start payoff is
 // the pivot delta against a default run).
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -32,6 +34,7 @@
 #include "serve/service.hpp"
 #include "serve/trace.hpp"
 #include "util/env.hpp"
+#include "util/parse.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -79,6 +82,19 @@ exp::TopologySpec topoSpec(const std::string& name) {
   return exp::TopologySpec::zoo(name);
 }
 
+/// The value of an integer flag in [0, max]; anything else (junk, a
+/// sign, overflow) exits 2 with an error naming the flag.
+template <class Int>
+Int countFlag(const char* text, const std::string& flag) {
+  try {
+    return util::parseInteger<Int>(text, 0, std::numeric_limits<Int>::max(),
+                                   flag.c_str());
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -117,7 +133,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--demand-seed") {
-      demand.seed = std::strtoull(next(), nullptr, 10);
+      demand.seed = countFlag<std::uint64_t>(next(), arg);
     } else if (arg == "--schemes") {
       schemes_csv = next();
     } else if (arg == "--margin") {
@@ -132,11 +148,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--replay") {
       replay_file = next();
     } else if (arg == "--generate") {
-      generate = std::atoi(next());
+      generate = countFlag<int>(next(), arg);
     } else if (arg == "--seed") {
-      seed = std::strtoull(next(), nullptr, 10);
+      seed = countFlag<std::uint64_t>(next(), arg);
     } else if (arg == "--flap-trace") {
-      flap_trace = std::atoi(next());
+      flap_trace = countFlag<int>(next(), arg);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return usage(argv[0], 2);
