@@ -3,6 +3,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 
 #include "core/dag_builder.hpp"
 #include "core/splitting_optimizer.hpp"
@@ -22,24 +24,54 @@ namespace {
 
 using namespace coyote;
 
-void BM_SplittingOptimizerIterations(benchmark::State& state) {
-  const Graph g = topo::makeZoo("Abilene");
-  const auto dags = core::augmentedDagsShared(g);
-  routing::PerformanceEvaluator eval(g, dags);
-  tm::PoolOptions popt;
-  popt.source_hotspots = false;
-  popt.random_corners = 2;
-  eval.addPool(
-      tm::cornerPool(tm::marginBounds(tm::gravityMatrix(g, 1.0), 2.0), popt));
-  const auto init = routing::RoutingConfig::uniform(g, dags);
+// Optimizer iteration throughput on a fixed pool; range(0) is the
+// iteration budget. The pool (one normalization LP per matrix) is built
+// once per case, outside the timed loop.
+struct SplittingCase {
+  Graph g;
+  std::shared_ptr<const DagSet> dags;
+  routing::PerformanceEvaluator eval;
+
+  SplittingCase(const std::string& zoo, const tm::PoolOptions& popt)
+      : g(topo::makeZoo(zoo)), dags(core::augmentedDagsShared(g)), eval(g, dags) {
+    eval.addPool(
+        tm::cornerPool(tm::marginBounds(tm::gravityMatrix(g, 1.0), 2.0), popt));
+  }
+};
+
+void runSplittingIterations(benchmark::State& state, const SplittingCase& c) {
+  const auto init = routing::RoutingConfig::uniform(c.g, c.dags);
   core::SplittingOptions opt;
   opt.iterations = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::optimizeSplitting(g, eval, init, opt));
+    benchmark::DoNotOptimize(core::optimizeSplitting(c.g, c.eval, init, opt));
   }
   state.SetItemsProcessed(state.iterations() * opt.iterations);
+  state.SetLabel("pool=" + std::to_string(c.eval.size()) + " matrices");
+}
+
+// Abilene with a 2-random-corner pool (no source hotspots).
+void BM_SplittingOptimizerIterations(benchmark::State& state) {
+  static const SplittingCase c = [] {
+    tm::PoolOptions popt;
+    popt.source_hotspots = false;
+    popt.random_corners = 2;
+    return SplittingCase("Abilene", popt);
+  }();
+  runSplittingIterations(state, c);
 }
 BENCHMARK(BM_SplittingOptimizerIterations)->Arg(50)->Arg(200);
+
+// GEANT with the default corner pool (61 matrices): the fig06 / plan-geant
+// optimizer shape.
+void BM_SplittingOptimizerIterationsGeant(benchmark::State& state) {
+  static const SplittingCase c("Geant", tm::PoolOptions{});
+  runSplittingIterations(state, c);
+}
+BENCHMARK(BM_SplittingOptimizerIterationsGeant)
+    ->Arg(50)
+    ->Arg(200)
+    ->Unit(benchmark::kMillisecond);
 
 // PERF evaluation hot path: ratioFor scans the whole pool, one propagation
 // per matrix, distributed over the thread pool. The series sweeps the

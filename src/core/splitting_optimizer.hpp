@@ -24,6 +24,36 @@
 //
 // Both recover the closed-form optimum of the paper's running example
 // (golden-ratio splits; Appendix B) -- enforced by unit tests.
+//
+// Storage is per destination DAG, never n x m. Each destination's DAG is
+// a CSR in topological order: its tails (nodes with out-edges) own
+// contiguous slots, one per out-edge, and a slot names its edge, its tail
+// and its head. phi, the best iterate and the gradient are flat arrays
+// indexed by slot; the forward inflow and demand column of each
+// (matrix, destination) pair with positive demand are stored per tail.
+// Per iteration:
+//
+//  * forward   -- one task per pool matrix propagates its active
+//                 destinations and writes that matrix's link utilizations;
+//  * weights   -- one task per matrix computes the softmax weights
+//                 (exp() skipped below an exponent of -28, whose result is
+//                 under the 1e-12 cutoff anyway, and evaluated once for all
+//                 unloaded edges, which share one exponent); wsum is summed
+//                 serially in (matrix, edge) order;
+//  * seed      -- G = w / (wsum * cap) once per (matrix, edge);
+//  * backward  -- one task per destination runs the adjoint for each
+//                 active matrix in ascending order, then updates that
+//                 destination's splitting vectors.
+//
+// The result is bit-identical for any thread count and to a dense
+// reference implementation: every floating-point sum keeps its order
+// (a link's load adds destinations in ascending order; a gradient entry
+// adds matrices in ascending order; each node's inflow and adjoint add
+// out-edges in DAG order), every term is computed by the same expression,
+// and the only work skipped contributes exactly +0.0 -- a (matrix,
+// destination) adjoint whose G terms on the DAG are all zero leaves mu,
+// and therefore the gradient, at +0.0. Small problems run the same loops
+// inline, where a pool dispatch would cost more than the loop.
 #pragma once
 
 #include "routing/evaluator.hpp"

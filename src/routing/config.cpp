@@ -64,9 +64,9 @@ void RoutingConfig::validate(const Graph& g, double tol) const {
     for (EdgeId e = 0; e < num_edges_; ++e) {
       const double r = ratios_[index(t, e)];
       ensure(r >= -tol, "negative splitting ratio");
-      if (!dag.contains(e)) {
-        ensure(r <= tol, "positive ratio on edge outside DAG for t=" +
-                             g.nodeName(t));
+      if (!dag.contains(e) && !(r <= tol)) {
+        throw std::logic_error("positive ratio on edge outside DAG for t=" +
+                               g.nodeName(t));
       }
     }
     for (NodeId u = 0; u < num_nodes_; ++u) {
@@ -75,9 +75,11 @@ void RoutingConfig::validate(const Graph& g, double tol) const {
       if (out.empty() || !dag.reachesDest(u)) continue;
       double sum = 0.0;
       for (const EdgeId e : out) sum += ratios_[index(t, e)];
-      ensure(std::abs(sum - 1.0) <= tol,
-             "splitting ratios at node " + g.nodeName(u) + " toward " +
-                 g.nodeName(t) + " sum to " + std::to_string(sum));
+      if (!(std::abs(sum - 1.0) <= tol)) {
+        throw std::logic_error("splitting ratios at node " + g.nodeName(u) +
+                               " toward " + g.nodeName(t) + " sum to " +
+                               std::to_string(sum));
+      }
     }
   }
 }

@@ -158,9 +158,11 @@ void OptuEngine::applyDemand(lp::SimplexSolver& solver, const Template& t,
       const double dem = d.at(u, dest);
       const int row = t.row[dest][u];
       if (row < 0) {
-        require(dem <= 0.0, "demand from " + g_.nodeName(u) + " to " +
-                                g_.nodeName(dest) +
-                                " cannot be routed (no usable edges)");
+        if (!(dem <= 0.0)) {
+          throw std::invalid_argument("demand from " + g_.nodeName(u) +
+                                      " to " + g_.nodeName(dest) +
+                                      " cannot be routed (no usable edges)");
+        }
         continue;
       }
       solver.setRhs(row, dem);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <set>
 
 #include "core/coyote.hpp"
@@ -161,6 +163,93 @@ TEST(SplittingOptimizer, PrunesTinyRatios) {
       EXPECT_TRUE(r == 0.0 || r >= 1e-4) << r;
     }
   }
+}
+
+// Bit-exactness pins. The expected values were captured from the dense
+// reference implementation the slot layout replaced; any change to the
+// floating-point order of the forward pass, the adjoint or the update
+// moves them. The hash is an FNV-1a-style fold (64-bit FNV prime, offset
+// 0x14650fb0739d0383) over the bit patterns of every DAG ratio in
+// (destination, edge id) order.
+std::uint64_t ratioBitsHash(const Graph& g, const routing::RoutingConfig& cfg) {
+  std::uint64_t h = 0x14650fb0739d0383ull;
+  for (NodeId t = 0; t < g.numNodes(); ++t) {
+    for (const EdgeId e : cfg.dags()[t].edges()) {
+      const double r = cfg.ratio(t, e);
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &r, sizeof bits);
+      h = (h ^ bits) * 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+struct GeantPinFixture {
+  Graph g = topo::makeZoo("Geant");
+  std::shared_ptr<const DagSet> dags = augmentedDagsShared(g);
+  routing::PerformanceEvaluator eval{g, dags};
+  routing::RoutingConfig uniform = routing::RoutingConfig::uniform(g, dags);
+
+  GeantPinFixture() {
+    eval.addPool(
+        tm::cornerPool(tm::marginBounds(tm::gravityMatrix(g, 1.0), 2.0)));
+  }
+};
+
+TEST(SplittingOptimizerPins, GpCondensationFromUniform) {
+  GeantPinFixture fx;
+  ASSERT_EQ(fx.eval.size(), 61);
+  SplittingOptions opt;
+  opt.iterations = 80;
+  int used = 0;
+  const auto cfg = optimizeSplitting(fx.g, fx.eval, fx.uniform, opt, &used);
+  EXPECT_EQ(used, 80);
+  EXPECT_EQ(ratioBitsHash(fx.g, cfg), 0x23fd6ceaa19573d0ull);
+  EXPECT_EQ(fx.eval.ratioFor(cfg), 0x1.4e754aa6c4e25p+0);
+  EXPECT_EQ(cfg.ratio(0, 13), 0x1.0e443e97c46f6p-4);
+  EXPECT_EQ(cfg.ratio(0, 21), 0x1.7ae8531e40dddp-1);
+}
+
+// The serve / cutting-plane path: a warm start whose pruned ratios are
+// exactly 0 (phi = 0 on edges whose adjoint seed is positive) and a
+// patience early stop.
+TEST(SplittingOptimizerPins, WarmStartFromPrunedConfigWithPatience) {
+  GeantPinFixture fx;
+  SplittingOptions coarse;
+  coarse.iterations = 2;
+  coarse.prune_below = 0.4;
+  const auto seed = optimizeSplitting(fx.g, fx.eval, fx.uniform, coarse);
+  int zeros = 0;
+  for (NodeId t = 0; t < fx.g.numNodes(); ++t) {
+    for (const EdgeId e : (*fx.dags)[t].edges()) zeros += seed.ratio(t, e) == 0.0;
+  }
+  EXPECT_EQ(zeros, 82);
+  EXPECT_EQ(ratioBitsHash(fx.g, seed), 0xde1a3acf2c0b0897ull);
+
+  SplittingOptions warm;
+  warm.iterations = 300;
+  warm.patience = 3;
+  int used = 0;
+  const auto cfg = optimizeSplitting(fx.g, fx.eval, seed, warm, &used);
+  EXPECT_EQ(used, 89);
+  EXPECT_EQ(ratioBitsHash(fx.g, cfg), 0x1c88fed78553b092ull);
+  EXPECT_EQ(fx.eval.ratioFor(cfg), 0x1.75864c6683eb2p+0);
+  EXPECT_EQ(cfg.ratio(0, 13), 0x1.082fea8933fbp-2);
+  EXPECT_EQ(cfg.ratio(0, 21), 0x1.495936bcc8c16p-1);
+}
+
+TEST(SplittingOptimizerPins, MirrorDescentFromUniform) {
+  GeantPinFixture fx;
+  SplittingOptions opt;
+  opt.method = SplitMethod::kMirrorDescent;
+  opt.iterations = 60;
+  int used = 0;
+  const auto cfg = optimizeSplitting(fx.g, fx.eval, fx.uniform, opt, &used);
+  EXPECT_EQ(used, 60);
+  EXPECT_EQ(ratioBitsHash(fx.g, cfg), 0x25986cc971a03eabull);
+  EXPECT_EQ(fx.eval.ratioFor(cfg), 0x1.4788657bcffe4p+0);
+  EXPECT_EQ(cfg.ratio(0, 13), 0x1.d4528c264f795p-8);
+  EXPECT_EQ(cfg.ratio(0, 21), 0x1.89b207a6f365cp-1);
 }
 
 TEST(SplittingOptimizer, RejectsEmptyPool) {
