@@ -27,33 +27,8 @@ FailureEvaluator::FailureEvaluator(const Graph& g,
   require(dags_ != nullptr, "null dag set");
   require(opt_.margin >= 1.0, "margin must be >= 1");
   require(!schemes_.empty(), "empty scheme list");
-
-  // The intact (offline) configuration of every kRepairDags scheme, in
-  // list order, with the caller's optimizer options passed through
-  // unmodified (including any oracle_rounds request). Margin-dependent
-  // schemes are optimized against the operator's uncertainty box over the
-  // same corner pool the sweep evaluates with. kReconverge schemes carry
-  // no intact config here: their post-failure routing is recomputed from
-  // the degraded graph alone (Scheme::reconverge), so computing one would
-  // be pure startup waste (invcap-ecmp's would rebuild a whole augmented
-  // DAG set).
-  const tm::DemandBounds box = tm::marginBounds(base_tm, opt_.margin);
-  intact_.reserve(schemes_.size());
-  for (const te::Scheme* s : schemes_) {
-    if (s->reaction() == te::FailureReaction::kReconverge) {
-      intact_.emplace_back(std::nullopt);
-    } else if (s->marginDependent()) {
-      routing::PerformanceEvaluator eval(g_, dags_, opt_.coyote.lp);
-      eval.addPool(pool_);
-      const te::SchemeContext ctx{g_, dags_, base_, opt_.coyote, &box,
-                                  &eval};
-      intact_.emplace_back(s->compute(ctx));
-    } else {
-      const te::SchemeContext ctx{g_,      dags_,  base_, opt_.coyote,
-                                  nullptr, nullptr};
-      intact_.emplace_back(s->compute(ctx));
-    }
-  }
+  intact_ = intactConfigs(g_, dags_, base_, schemes_, opt_.coyote,
+                          tm::marginBounds(base_tm, opt_.margin), pool_);
   if (opt_.threads != 0) {
     own_pool_ = std::make_unique<util::ThreadPool>(opt_.threads);
   }
@@ -74,16 +49,54 @@ const routing::RoutingConfig& FailureEvaluator::intactRouting(
                               "' is not in this evaluator's list");
 }
 
-FailureOutcome FailureEvaluator::evaluateOne(
-    const FailureScenario& f, routing::OptuEngine& engine) const {
-  const int n = static_cast<int>(schemes_.size());
+std::vector<std::optional<routing::RoutingConfig>> intactConfigs(
+    const Graph& g, const std::shared_ptr<const DagSet>& dags,
+    const tm::TrafficMatrix& base,
+    const std::vector<const te::Scheme*>& schemes,
+    const core::CoyoteOptions& coyote, const tm::DemandBounds& box,
+    const std::vector<tm::TrafficMatrix>& pool,
+    const std::vector<std::optional<routing::RoutingConfig>>* previous,
+    int* saved) {
+  std::vector<std::optional<routing::RoutingConfig>> intact;
+  intact.reserve(schemes.size());
+  for (std::size_t i = 0; i < schemes.size(); ++i) {
+    const te::Scheme* s = schemes[i];
+    if (s->reaction() == te::FailureReaction::kReconverge) {
+      intact.emplace_back(std::nullopt);
+      continue;
+    }
+    te::SchemeContext ctx{g, dags, base, coyote, nullptr, nullptr};
+    if (previous != nullptr && i < previous->size() &&
+        (*previous)[i].has_value()) {
+      ctx.coyote.warm_init = &*(*previous)[i];
+    }
+    ctx.splitting_iters_saved = saved;
+    std::optional<routing::PerformanceEvaluator> eval;
+    if (s->marginDependent()) {
+      eval.emplace(g, dags, coyote.lp);
+      eval->addPool(pool);
+      ctx.box = &box;
+      ctx.pool = &*eval;
+    }
+    intact.emplace_back(s->compute(ctx));
+  }
+  return intact;
+}
+
+FailureOutcome evaluateFailure(
+    const Graph& g, const DagSet& dags, const tm::TrafficMatrix& base,
+    const std::vector<tm::TrafficMatrix>& pool,
+    const std::vector<const te::Scheme*>& schemes,
+    const std::vector<std::optional<routing::RoutingConfig>>& intact,
+    const FailureScenario& f, routing::OptuEngine& engine) {
+  const int n = static_cast<int>(schemes.size());
   FailureOutcome out;
   out.label = f.label;
   out.ratio.assign(n, 0.0);
   out.routable.assign(n, 0);
 
-  const Graph degraded = degradedGraph(g_, f);
-  out.disconnected_pairs = disconnectedPairs(degraded, base_);
+  const Graph degraded = degradedGraph(g, f);
+  out.disconnected_pairs = disconnectedPairs(degraded, base);
   if (out.disconnected_pairs > 0) return out;  // reported, not evaluated
   out.evaluated = true;
 
@@ -92,39 +105,39 @@ FailureOutcome FailureEvaluator::evaluateOne(
   // repaired DAG set is shared by every kRepairDags scheme (and skipped
   // entirely when the selection is all-reconverge).
   bool any_repair = false;
-  for (const te::Scheme* s : schemes_) {
+  for (const te::Scheme* s : schemes) {
     any_repair |= s->reaction() == te::FailureReaction::kRepairDags;
   }
   const std::shared_ptr<const DagSet> repaired =
-      any_repair ? repairDags(g_, *dags_, failedEdgeMask(g_, f)) : nullptr;
+      any_repair ? repairDags(g, dags, failedEdgeMask(g, f)) : nullptr;
   std::vector<routing::RoutingConfig> cfgs;
   cfgs.reserve(n);
   for (int s = 0; s < n; ++s) {
-    if (schemes_[s]->reaction() == te::FailureReaction::kReconverge) {
-      cfgs.push_back(schemes_[s]->reconverge(degraded));
+    if (schemes[s]->reaction() == te::FailureReaction::kReconverge) {
+      cfgs.push_back(schemes[s]->reconverge(degraded));
     } else {
-      cfgs.push_back(repairRouting(g_, *intact_[s], repaired));
+      cfgs.push_back(repairRouting(g, *intact[s], repaired));
     }
   }
   for (int s = 0; s < n; ++s) {
-    out.routable[s] = routesAllDemands(cfgs[s], base_);
+    out.routable[s] = routesAllDemands(cfgs[s], base);
   }
 
   // The common post-failure ruler: unrestricted OPTU on the surviving
   // network, one warm re-solve per pool matrix (the failure entered the
   // engine as a bounds mutation; see OptuEngine::setFailedEdges).
-  engine.setFailedEdges(directedEdges(g_, f));
-  std::vector<double> optu(pool_.size(), 0.0);
-  for (std::size_t j = 0; j < pool_.size(); ++j) {
-    optu[j] = engine.utilization(pool_[j]);
+  engine.setFailedEdges(directedEdges(g, f));
+  std::vector<double> optu(pool.size(), 0.0);
+  for (std::size_t j = 0; j < pool.size(); ++j) {
+    optu[j] = engine.utilization(pool[j]);
   }
 
-  for (std::size_t j = 0; j < pool_.size(); ++j) {
+  for (std::size_t j = 0; j < pool.size(); ++j) {
     if (optu[j] <= 0.0) continue;  // zero matrix
     for (int s = 0; s < n; ++s) {
       if (!out.routable[s]) continue;
       const double mxlu =
-          routing::maxLinkUtilization(degraded, cfgs[s], pool_[j]);
+          routing::maxLinkUtilization(degraded, cfgs[s], pool[j]);
       out.ratio[s] = std::max(out.ratio[s], mxlu / optu[j]);
     }
   }
@@ -154,7 +167,8 @@ FailureSweepResult FailureEvaluator::evaluate(
     const std::size_t end =
         std::min(failures.size(), begin + kFailureChunk);
     for (std::size_t i = begin; i < end; ++i) {
-      result.outcomes[i] = evaluateOne(failures[i], engine);
+      result.outcomes[i] = evaluateFailure(g_, *dags_, base_, pool_, schemes_,
+                                           intact_, failures[i], engine);
     }
   });
 

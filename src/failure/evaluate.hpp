@@ -17,6 +17,10 @@
 // than the intact sweeps' within-DAG optimum, so post-failure ratios are
 // not directly comparable to the intact rows of the same scenario.
 //
+// intactConfigs() and evaluateFailure() below are that computation; the
+// sweeps (FailureEvaluator) and every serve event (serve/service.hpp)
+// call them.
+//
 // OPTU_f re-solves ride routing::OptuEngine::setFailedEdges: a failure is
 // a bounds mutation on a retained simplex session, not an LP rebuild, so
 // sweeping hundreds of failure variants reuses warm bases (the pivot-count
@@ -36,6 +40,7 @@
 #include "failure/degrade.hpp"
 #include "failure/scenario.hpp"
 #include "routing/config.hpp"
+#include "routing/optu.hpp"
 #include "scheme/registry.hpp"
 #include "tm/uncertainty.hpp"
 #include "util/thread_pool.hpp"
@@ -68,7 +73,7 @@ struct FailureEvalOptions {
 };
 
 /// One failure scenario's verdict. The per-scheme vectors are parallel to
-/// the evaluator's scheme list (FailureEvaluator::schemes(), same order).
+/// the evaluated scheme list (FailureEvaluator::schemes(), same order).
 struct FailureOutcome {
   std::string label;
   /// (s,t) pairs with base demand the surviving *graph* cannot connect.
@@ -103,6 +108,32 @@ struct FailureSweepResult {
   std::vector<std::pair<std::string, SchemeFailureStats>> schemes;
 };
 
+/// Every scheme's intact configuration, parallel to `schemes`, computed
+/// with `coyote` as-is; margin-dependent schemes optimize against `box`
+/// over `pool`. kReconverge schemes get none (Scheme::reconverge rebuilds
+/// their routing from the degraded graph alone). Engaged `previous`
+/// entries seed warm_init; `saved` accumulates splitting_iters_saved.
+[[nodiscard]] std::vector<std::optional<routing::RoutingConfig>>
+intactConfigs(
+    const Graph& g, const std::shared_ptr<const DagSet>& dags,
+    const tm::TrafficMatrix& base,
+    const std::vector<const te::Scheme*>& schemes,
+    const core::CoyoteOptions& coyote, const tm::DemandBounds& box,
+    const std::vector<tm::TrafficMatrix>& pool,
+    const std::vector<std::optional<routing::RoutingConfig>>* previous =
+        nullptr,
+    int* saved = nullptr);
+
+/// The verdict on failure `f` for `schemes` with intactConfigs() routing
+/// over the raw corner `pool`. `engine` (unrestricted OPTU on g) takes the
+/// failure as a bounds mutation, so calls on one engine re-solve warm.
+[[nodiscard]] FailureOutcome evaluateFailure(
+    const Graph& g, const DagSet& dags, const tm::TrafficMatrix& base,
+    const std::vector<tm::TrafficMatrix>& pool,
+    const std::vector<const te::Scheme*>& schemes,
+    const std::vector<std::optional<routing::RoutingConfig>>& intact,
+    const FailureScenario& f, routing::OptuEngine& engine);
+
 /// Computes the intact schemes once, then sweeps failure sets against
 /// them. One evaluator may run several sweeps (e.g. -fail1 and -srlg).
 class FailureEvaluator {
@@ -129,9 +160,6 @@ class FailureEvaluator {
       const std::string& key) const;
 
  private:
-  [[nodiscard]] FailureOutcome evaluateOne(const FailureScenario& f,
-                                           routing::OptuEngine& engine) const;
-
   const Graph& g_;
   std::shared_ptr<const DagSet> dags_;
   tm::TrafficMatrix base_;

@@ -1,14 +1,12 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "core/dag_builder.hpp"
-#include "failure/degrade.hpp"
 #include "failure/scenario.hpp"
-#include "routing/evaluator.hpp"
-#include "routing/propagation.hpp"
 #include "util/require.hpp"
 
 namespace coyote::serve {
@@ -57,11 +55,12 @@ TeService::TeService(Graph g, tm::TrafficMatrix base_tm, ServeOptions opt)
       schemes_(opt_.schemes.empty()
                    ? te::SchemeRegistry::builtin().defaults()
                    : opt_.schemes) {
-  require(margin_ >= 1.0, "margin must be >= 1");
+  require(std::isfinite(margin_) && margin_ >= 1.0,
+          "margin must be finite and >= 1");
   require(!schemes_.empty(), "empty scheme list");
   require(base_.numNodes() == g_.numNodes(),
           "base matrix / graph node count mismatch");
-  rebuildPool();
+  setDemandBox(base_, margin_);
   computeSchemes(/*warm=*/false);
   engine_ = std::make_unique<routing::OptuEngine>(g_, opt_.coyote.lp);
   if (opt_.threads != 0) {
@@ -71,46 +70,29 @@ TeService::TeService(Graph g, tm::TrafficMatrix base_tm, ServeOptions opt)
 
 TeService::~TeService() = default;
 
-void TeService::rebuildPool() {
-  box_.emplace(tm::marginBounds(base_, margin_));
-  pool_ = tm::cornerPool(*box_, opt_.pool);
+void TeService::setDemandBox(tm::TrafficMatrix base, double margin) {
+  // An overflow (say, two scale-1e300 events) is an error response, not
+  // an inf that poisons every later LP right-hand side. The box's upper
+  // corner bounds the base matrix and every pool entry.
+  const tm::DemandBounds box = tm::marginBounds(base, margin);
+  if (!std::isfinite(box.hi.maxEntry())) {
+    throw std::invalid_argument(
+        "non-finite demand box: the base matrix times the margin "
+        "overflows");
+  }
+  pool_ = tm::cornerPool(box, opt_.pool);
+  base_ = std::move(base);
+  margin_ = margin;
 }
 
 void TeService::computeSchemes(bool warm) {
-  // The failure evaluator's startup, kept warm-restartable: margin-
-  // dependent schemes are optimized against the current box over the
-  // same corner pool events are evaluated with; kReconverge schemes
-  // keep no intact config (their post-event routing is recomputed from
-  // the degraded graph alone). On the warm ("reoptimize") path each
-  // optimizer-backed scheme is seeded from its previous configuration --
-  // the base matrix and margin usually moved only a little, so the
-  // search restarts next to the optimum and the patience early stop
-  // banks most of the iteration budget (totalled in reopt_saved_iters_).
-  const std::vector<std::optional<routing::RoutingConfig>> prev =
-      std::move(intact_);
-  intact_.clear();
-  intact_.reserve(schemes_.size());
+  // A warm restart sits next to the optimum (base and margin usually
+  // moved a little), so the patience early stop banks most of the budget.
   int saved = 0;
-  for (std::size_t i = 0; i < schemes_.size(); ++i) {
-    const te::Scheme* s = schemes_[i];
-    core::CoyoteOptions copt = opt_.coyote;
-    if (warm && i < prev.size() && prev[i].has_value()) {
-      copt.warm_init = &*prev[i];
-    }
-    if (s->reaction() == te::FailureReaction::kReconverge) {
-      intact_.emplace_back(std::nullopt);
-    } else if (s->marginDependent()) {
-      routing::PerformanceEvaluator eval(g_, dags_, opt_.coyote.lp);
-      eval.addPool(pool_);
-      te::SchemeContext ctx{g_, dags_, base_, copt, &*box_, &eval};
-      if (warm) ctx.splitting_iters_saved = &saved;
-      intact_.emplace_back(s->compute(ctx));
-    } else {
-      te::SchemeContext ctx{g_, dags_, base_, copt, nullptr, nullptr};
-      if (warm) ctx.splitting_iters_saved = &saved;
-      intact_.emplace_back(s->compute(ctx));
-    }
-  }
+  intact_ = failure::intactConfigs(
+      g_, dags_, base_, schemes_, opt_.coyote,
+      tm::marginBounds(base_, margin_), pool_, warm ? &intact_ : nullptr,
+      warm ? &saved : nullptr);
   reopt_saved_iters_ += saved;
 }
 
@@ -123,62 +105,8 @@ std::vector<std::string> TeService::failedLinks() const {
   return out;
 }
 
-TeService::EvalResult TeService::evaluateLinks(
-    const std::vector<EdgeId>& links, routing::OptuEngine& engine) const {
-  const int n = static_cast<int>(schemes_.size());
-  EvalResult out;
-  out.ratio.assign(n, 0.0);
-  out.routable.assign(n, 0);
-
-  failure::FailureScenario f;
-  f.links = links;
-  const Graph degraded = failure::degradedGraph(g_, f);
-  out.disconnected_pairs = failure::disconnectedPairs(degraded, base_);
-  if (out.disconnected_pairs > 0) return out;  // reported, not evaluated
-  out.evaluated = true;
-
-  bool any_repair = false;
-  for (const te::Scheme* s : schemes_) {
-    any_repair |= s->reaction() == te::FailureReaction::kRepairDags;
-  }
-  const std::shared_ptr<const DagSet> repaired =
-      any_repair ? failure::repairDags(g_, *dags_,
-                                       failure::failedEdgeMask(g_, f))
-                 : nullptr;
-  std::vector<routing::RoutingConfig> cfgs;
-  cfgs.reserve(n);
-  for (int s = 0; s < n; ++s) {
-    if (schemes_[s]->reaction() == te::FailureReaction::kReconverge) {
-      cfgs.push_back(schemes_[s]->reconverge(degraded));
-    } else {
-      cfgs.push_back(failure::repairRouting(g_, *intact_[s], repaired));
-    }
-  }
-  for (int s = 0; s < n; ++s) {
-    out.routable[s] = failure::routesAllDemands(cfgs[s], base_);
-  }
-
-  // The common ruler: unrestricted OPTU on the surviving network, one
-  // warm re-solve per pool matrix (the failure entered the engine as a
-  // bounds mutation; {} restores the intact network).
-  engine.setFailedEdges(failure::directedEdges(g_, f));
-  std::vector<double> optu(pool_.size(), 0.0);
-  for (std::size_t j = 0; j < pool_.size(); ++j) {
-    optu[j] = engine.utilization(pool_[j]);
-  }
-  for (std::size_t j = 0; j < pool_.size(); ++j) {
-    if (optu[j] <= 0.0) continue;  // zero matrix
-    for (int s = 0; s < n; ++s) {
-      if (!out.routable[s]) continue;
-      const double mxlu =
-          routing::maxLinkUtilization(degraded, cfgs[s], pool_[j]);
-      out.ratio[s] = std::max(out.ratio[s], mxlu / optu[j]);
-    }
-  }
-  return out;
-}
-
-void TeService::addEvalPayload(json::Value& response, const EvalResult& ev,
+void TeService::addEvalPayload(json::Value& response,
+                               const failure::FailureOutcome& ev,
                                const std::vector<EdgeId>& links) const {
   response["disconnected_pairs"] = ev.disconnected_pairs;
   response["evaluated"] = ev.evaluated;
@@ -236,7 +164,8 @@ json::Value TeService::handleWhatIf(const json::Value& request, long long seq,
   std::sort(combined.begin(), combined.end());
   combined.erase(std::unique(combined.begin(), combined.end()),
                  combined.end());
-  const EvalResult ev = evaluateLinks(combined, engine);
+  const failure::FailureOutcome ev = failure::evaluateFailure(
+      g_, *dags_, base_, pool_, schemes_, intact_, {"", combined}, engine);
   json::Value resp = envelope(seq, request);
   resp["ok"] = true;
   addEvalPayload(resp, ev, combined);
@@ -268,6 +197,10 @@ json::Value TeService::dispatch(const json::Value& request, long long seq) {
     for (const std::string& label : failedLinks()) failed.push_back(label);
     resp["failed"] = std::move(failed);
     return resp;
+  }
+
+  if (op == "what-if") {
+    return handleWhatIf(request, seq, *engine_);
   }
 
   if (op == "demand") {
@@ -312,17 +245,14 @@ json::Value TeService::dispatch(const json::Value& request, long long seq) {
         entries.push_back({{*s, *t}, v});
       }
     }
-    if (scale != nullptr) base_.scale(scale->asNumber());
+    tm::TrafficMatrix base = base_;
+    if (scale != nullptr) base.scale(scale->asNumber());
     for (const auto& [pair, v] : entries) {
-      base_.set(pair.first, pair.second, v);
+      base.set(pair.first, pair.second, v);
     }
-    rebuildPool();
+    setDemandBox(std::move(base), margin_);
     resp["ok"] = true;
-    addEvalPayload(resp, evaluateLinks(failed_, *engine_), failed_);
-    return resp;
-  }
-
-  if (op == "link") {
+  } else if (op == "link") {
     const EdgeId link = parseLink(member(request, "link"));
     const json::Value* up = request.find("up");
     const bool restore = up != nullptr && up->isBool() && up->asBool();
@@ -343,35 +273,28 @@ json::Value TeService::dispatch(const json::Value& request, long long seq) {
     resp["ok"] = true;
     resp["link"] = label;
     resp["up"] = restore;
-    addEvalPayload(resp, evaluateLinks(failed_, *engine_), failed_);
-    return resp;
-  }
-
-  if (op == "margin") {
+  } else if (op == "margin") {
     const json::Value& value = member(request, "value");
-    if (!value.isNumber() || !(value.asNumber() >= 1.0)) {
-      throw std::invalid_argument("'value' must be a number >= 1");
+    if (!value.isNumber() || !std::isfinite(value.asNumber()) ||
+        !(value.asNumber() >= 1.0)) {
+      throw std::invalid_argument("'value' must be a finite number >= 1");
     }
-    margin_ = value.asNumber();
-    rebuildPool();
+    setDemandBox(base_, value.asNumber());
     resp["ok"] = true;
     resp["margin"] = margin_;
-    addEvalPayload(resp, evaluateLinks(failed_, *engine_), failed_);
-    return resp;
-  }
-
-  if (op == "what-if") {
-    return handleWhatIf(request, seq, *engine_);
-  }
-
-  if (op == "reoptimize") {
+  } else if (op == "reoptimize") {
     computeSchemes(/*warm=*/true);
     resp["ok"] = true;
-    addEvalPayload(resp, evaluateLinks(failed_, *engine_), failed_);
-    return resp;
+  } else {
+    throw std::invalid_argument("unknown op: " + op);
   }
-
-  throw std::invalid_argument("unknown op: " + op);
+  // Every state-changing event answers with the resident configurations
+  // evaluated on the current failure set.
+  addEvalPayload(resp,
+                 failure::evaluateFailure(g_, *dags_, base_, pool_, schemes_,
+                                          intact_, {"", failed_}, *engine_),
+                 failed_);
+  return resp;
 }
 
 json::Value TeService::handle(const json::Value& request) {

@@ -10,8 +10,8 @@
 //    base matrix; the resident routing::OptuEngine re-solves it by rhs
 //    mutation on its retained simplex sessions;
 //  * link up/down           -- enters the engine via setFailedEdges (a
-//    bounds mutation, the PR-4 machinery), and each scheme reacts per
-//    its te::FailureReaction: kReconverge schemes re-run SPF on the
+//    bounds mutation on the retained sessions), and each scheme reacts
+//    per its te::FailureReaction: kReconverge schemes re-run SPF on the
 //    survivors, kRepairDags schemes repair their precomputed DAGs;
 //  * margin changes         -- the uncertainty box and its corner pool
 //    move; the running configurations stay (see below);
@@ -26,9 +26,9 @@
 // resident configurations under the new conditions (cheap, warm), while
 // recomputing the configurations themselves -- re-running the COYOTE
 // optimizer -- only happens when the operator requests "reoptimize".
-// Ratios use the *unrestricted* OPTU on the surviving network as the
-// common ruler (the failure-sweep normalization, stricter than the
-// intact sweeps' within-DAG optimum; see failure/evaluate.hpp).
+// Every evaluating event is one failure::evaluateFailure call on the
+// failed links (plus a what-if's), over failure::intactConfigs routing:
+// the failure sweeps' evaluator, with its unrestricted-OPTU ruler.
 //
 // Protocol: line-delimited util::json objects, one request per line, one
 // response line per request, in request order.
@@ -53,7 +53,7 @@
 // (handleScript) maximal runs of consecutive what-if queries fan out
 // over util::ThreadPool in fixed-size chunks -- each chunk owns an
 // OptuEngine whose sessions stay warm across the chunk's queries, the
-// same PR-4 idiom as failure::FailureEvaluator -- and responses are
+// same idiom as failure::FailureEvaluator -- and responses are
 // emitted in input order, so replay output is bit-identical for any
 // COYOTE_THREADS (the contract serve_test pins for 1/2/8).
 #pragma once
@@ -64,6 +64,7 @@
 #include <vector>
 
 #include "core/coyote.hpp"
+#include "failure/evaluate.hpp"
 #include "graph/graph.hpp"
 #include "routing/config.hpp"
 #include "routing/optu.hpp"
@@ -152,25 +153,14 @@ class TeService {
   }
 
  private:
-  /// One evaluation verdict (the shape of the failure sweeps').
-  struct EvalResult {
-    int disconnected_pairs = 0;
-    bool evaluated = false;
-    std::vector<double> ratio;    ///< per scheme, schemes_ order
-    std::vector<char> routable;   ///< per scheme
-  };
-
-  /// Evaluates the resident configurations with `links` (canonical ids,
-  /// ascending) failed, on the given engine. Read-only and thread-safe.
-  [[nodiscard]] EvalResult evaluateLinks(const std::vector<EdgeId>& links,
-                                         routing::OptuEngine& engine) const;
   /// (Re)computes every scheme's intact configuration from the current
-  /// base matrix / margin (kReconverge schemes keep none). With `warm`
-  /// (the "reoptimize" path) each optimizer-backed scheme is seeded from
-  /// its previous configuration and the patience savings accumulate into
-  /// reopt_saved_iters_; the constructor's initial computation is cold.
+  /// base matrix / margin. With `warm` (the "reoptimize" path) each one is
+  /// seeded from its previous configuration and the patience savings
+  /// accumulate into reopt_saved_iters_.
   void computeSchemes(bool warm);
-  void rebuildPool();
+  /// Commits `base` and `margin` with their box and corner pool, or
+  /// throws, state untouched, when any of those is non-finite.
+  void setDemandBox(tm::TrafficMatrix base, double margin);
 
   [[nodiscard]] util::json::Value dispatch(const util::json::Value& request,
                                            long long seq);
@@ -180,7 +170,8 @@ class TeService {
   /// Canonical edge id for ["A","B"]; throws std::invalid_argument with
   /// a client-facing message for unknown nodes or non-adjacent pairs.
   [[nodiscard]] EdgeId parseLink(const util::json::Value& link) const;
-  void addEvalPayload(util::json::Value& response, const EvalResult& ev,
+  void addEvalPayload(util::json::Value& response,
+                      const failure::FailureOutcome& ev,
                       const std::vector<EdgeId>& links) const;
 
   Graph g_;
@@ -191,7 +182,6 @@ class TeService {
   std::vector<const te::Scheme*> schemes_;
   /// Parallel to schemes_; disengaged for kReconverge schemes.
   std::vector<std::optional<routing::RoutingConfig>> intact_;
-  std::optional<tm::DemandBounds> box_;
   std::vector<tm::TrafficMatrix> pool_;  ///< corner pool of the current box
   std::vector<EdgeId> failed_;  ///< failed links (canonical ids, ascending)
   /// The resident ruler: unrestricted OPTU whose simplex sessions stay

@@ -1,14 +1,20 @@
 // serve::TeService + serve trace generation: protocol round-trips,
-// malformed-input survival, thread-count bit-identity of replays, and the
-// warm-vs-cold LP pivot advantage the resident engine exists for.
+// malformed-input survival, overflow rejection, thread-count bit-identity
+// of replays, agreement with the failure sweep, and the warm-vs-cold LP
+// pivot advantage the resident engine exists for.
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/dag_builder.hpp"
+#include "failure/evaluate.hpp"
+#include "failure/scenario.hpp"
 #include "lp/stats.hpp"
 #include "serve/trace.hpp"
 #include "tm/traffic_matrix.hpp"
@@ -202,6 +208,113 @@ TEST(TeService, PartialDemandValidationNeverMutates) {
   ASSERT_TRUE(r1["ok"].asBool());
   ASSERT_TRUE(r2["ok"].asBool());
   EXPECT_EQ(r1["ratios"].dump(0), r2["ratios"].dump(0));
+}
+
+/// A response with its event counters zeroed, so responses to the same
+/// question at different points of the stream compare byte for byte.
+std::string withoutCounters(const std::string& line) {
+  json::Value resp = json::parse(line);
+  resp["seq"] = 0L;
+  if (resp.find("events") != nullptr) resp["events"] = 0L;
+  return resp.dump(0);
+}
+
+TEST(TeService, OverflowingEventsAreRejectedWithoutMutating) {
+  const Graph g = topo::runningExample();
+  TeService service(g, tm::gravityMatrix(g, 1.0), quickOptions());
+  const std::string state = R"({"op":"state"})";
+  const std::string what_if = R"({"op":"what-if","links":[]})";
+
+  // One scale of 1e300 is still finite; a second overflows the matrix.
+  const std::string huge = R"({"op":"demand","scale":1e300})";
+  ASSERT_TRUE(parsed(service.handleLine(huge))["ok"].asBool());
+  const std::string state_before = withoutCounters(service.handleLine(state));
+  const std::string what_if_before =
+      withoutCounters(service.handleLine(what_if));
+  ASSERT_TRUE(parsed(what_if_before)["ok"].asBool());
+
+  json::Value resp = parsed(service.handleLine(huge));
+  EXPECT_FALSE(resp["ok"].asBool());
+  EXPECT_NE(resp["error"].asString().find("non-finite"), std::string::npos)
+      << resp["error"].asString();
+  // A margin whose box overflows, and a non-finite margin, are rejected
+  // the same way.
+  EXPECT_FALSE(
+      parsed(service.handleLine(R"({"op":"margin","value":1e10})"))["ok"]
+          .asBool());
+  json::Value inf_margin = json::Value::object();
+  inf_margin["op"] = "margin";
+  inf_margin["value"] = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(service.handle(inf_margin)["ok"].asBool());
+
+  EXPECT_EQ(withoutCounters(service.handleLine(state)), state_before);
+  EXPECT_EQ(withoutCounters(service.handleLine(what_if)), what_if_before);
+  // And the daemon still takes updates: scaling back down recovers.
+  EXPECT_TRUE(
+      parsed(service.handleLine(R"({"op":"demand","scale":1e-300})"))["ok"]
+          .asBool());
+}
+
+TEST(TeService, WhatIfMatchesTheFailureSweep) {
+  // The daemon and the failure sweep share one post-failure evaluator; with
+  // identical pool, margin, schemes and optimizer options, a what-if per
+  // single link must agree with the sweep's verdict on that link. Ratios
+  // agree to LP tolerance only: the OPTU warm chains differ (one resident
+  // engine here, fixed-size chunks there).
+  const Graph g = topo::runningExample();
+  const tm::TrafficMatrix base = tm::gravityMatrix(g, 1.0);
+  const ServeOptions sopt = quickOptions();
+  TeService service(g, base, sopt);
+
+  failure::FailureEvalOptions fopt;
+  fopt.margin = sopt.margin;
+  fopt.pool = sopt.pool;
+  fopt.coyote = sopt.coyote;  // including splitting.patience
+  fopt.schemes = sopt.schemes;
+  const failure::FailureEvaluator eval(g, core::augmentedDagsShared(g), base,
+                                       fopt);
+  const std::vector<failure::FailureScenario> failures =
+      failure::singleLinkFailures(g);
+  const failure::FailureSweepResult sweep = eval.evaluate(failures);
+  ASSERT_EQ(sweep.outcomes.size(), failures.size());
+  ASSERT_EQ(eval.schemes(), service.schemes());
+
+  for (std::size_t i = 0; i < failures.size(); ++i) {
+    const failure::FailureOutcome& want = sweep.outcomes[i];
+    const Edge& e = g.edge(failures[i].links.front());
+    json::Value link = json::Value::array();
+    link.push_back(g.nodeName(e.src));
+    link.push_back(g.nodeName(e.dst));
+    json::Value links = json::Value::array();
+    links.push_back(std::move(link));
+    json::Value q = json::Value::object();
+    q["op"] = "what-if";
+    q["links"] = std::move(links);
+    json::Value got = service.handle(q);
+    ASSERT_TRUE(got["ok"].asBool()) << want.label;
+
+    EXPECT_EQ(static_cast<int>(got["disconnected_pairs"].asNumber()),
+              want.disconnected_pairs)
+        << want.label;
+    ASSERT_EQ(got["evaluated"].asBool(), want.evaluated) << want.label;
+    if (!want.evaluated) continue;
+    std::vector<std::string> unroutable;
+    for (const json::Value& key : got["unroutable"].asArray()) {
+      unroutable.push_back(key.asString());
+    }
+    std::vector<std::string> want_unroutable;
+    for (std::size_t s = 0; s < eval.schemes().size(); ++s) {
+      const std::string key = eval.schemes()[s]->key();
+      if (!want.routable[s]) {
+        want_unroutable.push_back(key);
+        continue;
+      }
+      const double ratio = got["ratios"][key].asNumber();
+      EXPECT_NEAR(ratio, want.ratio[s], 1e-9 * std::abs(want.ratio[s]))
+          << want.label << " " << key;
+    }
+    EXPECT_EQ(unroutable, want_unroutable) << want.label;
+  }
 }
 
 TEST(ServeTrace, GenerationIsSeededAndDeterministic) {

@@ -1,5 +1,5 @@
 // Small util helpers shared across the tools and reports: the strict
-// integer parser behind every count-valued flag, and the order
+// integer and number parsers behind the tools' flags, and the order
 // statistics used by the failure, serve and timing summaries.
 #include <gtest/gtest.h>
 
@@ -54,6 +54,30 @@ TEST(ParseInteger, RejectsOverflowSignsJunkAndEmptyInput) {
   EXPECT_THROW((void)parseInteger<std::uint64_t>("18446744073709551616", 0,
                                                  kMax, "--seed"),
                std::invalid_argument);
+}
+
+TEST(ParseNumber, AcceptsFiniteDecimalsInRange) {
+  EXPECT_EQ(parseNumber("2.5", 1.0, 10.0, "--margin"), 2.5);
+  EXPECT_EQ(parseNumber("1", 1.0, 10.0, "--margin"), 1.0);
+  EXPECT_EQ(parseNumber("1e1", 1.0, 10.0, "--margin"), 10.0);
+  EXPECT_EQ(parseNumber("-0.25", -1.0, 1.0, "--x"), -0.25);
+}
+
+TEST(ParseNumber, RejectsNonFiniteJunkAndOutOfRange) {
+  for (const char* bad :
+       {"",                           // empty
+        "0.5", "10.5",                // out of range
+        "inf", "-inf", "nan", "1e999",  // non-finite or overflowing
+        "+2", " 2", "2 ", "2.5junk", "0x2", "abc"}) {  // junk
+    try {
+      (void)parseNumber(bad, 1.0, 10.0, "--margin");
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "--margin: expected a finite number in [1, 10], got '" +
+                    std::string(bad) + "'");
+    }
+  }
 }
 
 TEST(Percentile, NearestRankAndMedian) {

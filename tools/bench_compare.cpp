@@ -4,10 +4,13 @@
 // job runs this against the committed bench/baselines/ snapshot.
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "exp/compare.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -30,6 +33,8 @@ int usage(const char* argv0, int code) {
       "  --allow-missing      don't fail when a baseline scenario has no\n"
       "                       candidate file\n"
       "\n"
+      "Every value is a finite number >= 0.\n"
+      "\n"
       "exit status: 0 = pass, 1 = regression/drift found, 2 = usage error\n",
       argv0);
   return code;
@@ -51,15 +56,17 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A finite number >= 0: a NaN threshold would make every comparison
+    // against it false, so the gate would silently pass everything.
     const auto nextDouble = [&]() {
-      const char* s = next();
-      char* end = nullptr;
-      const double v = std::strtod(s, &end);
-      if (end == s || *end != '\0') {
-        std::fprintf(stderr, "%s: not a number: %s\n", arg.c_str(), s);
+      try {
+        return util::parseNumber(next(), 0.0,
+                                 std::numeric_limits<double>::max(),
+                                 arg.c_str());
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
         std::exit(2);
       }
-      return v;
     };
     if (arg == "--help" || arg == "-h") return usage(argv[0], 0);
     if (arg == "--threshold") {
@@ -78,11 +85,6 @@ int main(int argc, char** argv) {
     }
   }
   if (dirs.size() != 2) return usage(argv[0], 2);
-  if (opt.max_regression < 0.0 || opt.ratio_tolerance < 0.0 ||
-      opt.min_gate_seconds < 0.0) {
-    std::fprintf(stderr, "thresholds must be >= 0\n");
-    return 2;
-  }
 
   const exp::CompareReport report =
       exp::compareBenchDirs(dirs[0], dirs[1], opt);

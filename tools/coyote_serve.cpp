@@ -54,8 +54,9 @@ int usage(const char* argv0, int code) {
                "  --demand-seed <n>  bimodal demand seed (default 23)\n"
                "  --schemes <a,b,c>  resident scheme keys (default: the "
                "paper's four)\n"
-               "  --margin <x>       initial uncertainty margin (default "
-               "2.0)\n"
+               "  --margin <x>       initial uncertainty margin, a finite "
+               "number >= 1\n"
+               "                     (default 2.0)\n"
                "  --threads <n>      private thread-pool size in [0, 1024]; "
                "0 (default)\n"
                "                     uses the process pool "
@@ -89,6 +90,18 @@ Int countFlag(const char* text, const std::string& flag) {
   try {
     return util::parseInteger<Int>(text, 0, std::numeric_limits<Int>::max(),
                                    flag.c_str());
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
+}
+
+/// The value of a margin flag: a finite number >= 1; anything else (junk,
+/// inf, nan) exits 2 with an error naming the flag.
+double marginFlag(const char* text, const std::string& flag) {
+  try {
+    return util::parseNumber(text, 1.0, std::numeric_limits<double>::max(),
+                             flag.c_str());
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     std::exit(2);
@@ -137,7 +150,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--schemes") {
       schemes_csv = next();
     } else if (arg == "--margin") {
-      margin = std::atof(next());
+      margin = marginFlag(next(), arg);
     } else if (arg == "--threads") {
       try {
         threads = util::ThreadPool::parseThreadCount(next(), "--threads");
