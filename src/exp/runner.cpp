@@ -846,31 +846,17 @@ void runServe(KindRun& r) {
     }
   };
 
-  // Replay in handleScript-shaped groups: maximal runs of consecutive
-  // what-if queries batch over the thread pool, every other event is its
-  // own serial group. Each event in a group is attributed the group's
-  // mean latency (the batch answers them together).
+  // Replay one event at a time through handleLine, the daemon's request
+  // path, timing each event on its own.
   std::vector<double> latency_ms;
   latency_ms.reserve(trace.size());
   std::vector<std::string> responses;
   responses.reserve(trace.size());
   const util::Timer replay_timer;
-  std::size_t i = 0;
-  while (i < trace.size()) {
-    std::size_t j = i + 1;
-    if (opOf(trace[i]) == "what-if") {
-      while (j < trace.size() && opOf(trace[j]) == "what-if") ++j;
-    }
-    const std::vector<std::string> group(trace.begin() + i, trace.begin() + j);
+  for (const std::string& line : trace) {
     const util::Timer timer;
-    std::vector<std::string> resp = service.handleScript(group);
-    const double per_event_ms =
-        1000.0 * timer.elapsedSeconds() / static_cast<double>(group.size());
-    for (std::string& line : resp) {
-      latency_ms.push_back(per_event_ms);
-      responses.push_back(std::move(line));
-    }
-    i = j;
+    responses.push_back(service.handleLine(line));
+    latency_ms.push_back(1000.0 * timer.elapsedSeconds());
   }
   const double replay_seconds = replay_timer.elapsedSeconds();
 

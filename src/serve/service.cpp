@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -63,9 +64,6 @@ TeService::TeService(Graph g, tm::TrafficMatrix base_tm, ServeOptions opt)
   setDemandBox(base_, margin_);
   computeSchemes(/*warm=*/false);
   engine_ = std::make_unique<routing::OptuEngine>(g_, opt_.coyote.lp);
-  if (opt_.threads != 0) {
-    own_pool_ = std::make_unique<util::ThreadPool>(opt_.threads);
-  }
 }
 
 TeService::~TeService() = default;
@@ -79,6 +77,14 @@ void TeService::setDemandBox(tm::TrafficMatrix base, double margin) {
     throw std::invalid_argument(
         "non-finite demand box: the base matrix times the margin "
         "overflows");
+  }
+  // So is an underflow (say, a scale of 1e-320): entries that are zero or
+  // subnormal leave no demand the LPs can see, every scheme would answer
+  // ratio 0 and every reoptimize fail, and no later scale recovers a 0.
+  if (!(base.maxEntry() >= std::numeric_limits<double>::min())) {
+    throw std::invalid_argument(
+        "zero demand matrix: no entry of the base matrix is a positive "
+        "normal number");
   }
   pool_ = tm::cornerPool(box, opt_.pool);
   base_ = std::move(base);
@@ -150,8 +156,8 @@ EdgeId TeService::parseLink(const json::Value& link) const {
   return rev != kInvalidEdge && rev < *e ? rev : *e;
 }
 
-json::Value TeService::handleWhatIf(const json::Value& request, long long seq,
-                                    routing::OptuEngine& engine) const {
+json::Value TeService::handleWhatIf(const json::Value& request,
+                                    long long seq) {
   const json::Value& links = member(request, "links");
   if (!links.isArray()) {
     throw std::invalid_argument("'links' must be an array of links");
@@ -165,7 +171,7 @@ json::Value TeService::handleWhatIf(const json::Value& request, long long seq,
   combined.erase(std::unique(combined.begin(), combined.end()),
                  combined.end());
   const failure::FailureOutcome ev = failure::evaluateFailure(
-      g_, *dags_, base_, pool_, schemes_, intact_, {"", combined}, engine);
+      g_, *dags_, base_, pool_, schemes_, intact_, {"", combined}, *engine_);
   json::Value resp = envelope(seq, request);
   resp["ok"] = true;
   addEvalPayload(resp, ev, combined);
@@ -200,7 +206,7 @@ json::Value TeService::dispatch(const json::Value& request, long long seq) {
   }
 
   if (op == "what-if") {
-    return handleWhatIf(request, seq, *engine_);
+    return handleWhatIf(request, seq);
   }
 
   if (op == "demand") {
@@ -318,59 +324,9 @@ std::string TeService::handleLine(const std::string& line) {
 
 std::vector<std::string> TeService::handleScript(
     const std::vector<std::string>& lines) {
-  std::vector<std::string> out(lines.size());
-  util::ThreadPool& tp = own_pool_ ? *own_pool_ : util::ThreadPool::global();
-
-  const auto parseWhatIf = [](const std::string& line,
-                              json::Value* request) -> bool {
-    try {
-      *request = json::parse(line);
-    } catch (const json::Error&) {
-      return false;
-    }
-    return request->isObject() && request->stringOr("op", "") == "what-if";
-  };
-
-  std::size_t i = 0;
-  while (i < lines.size()) {
-    json::Value request;
-    if (!parseWhatIf(lines[i], &request)) {
-      out[i] = handleLine(lines[i]);
-      ++i;
-      continue;
-    }
-    // A maximal run of consecutive read-only what-if queries: the state
-    // cannot change inside it, so the queries fan out in fixed-size
-    // chunks, each chunk one OptuEngine whose sessions stay warm across
-    // the chunk's queries. Responses keep their input-order seq numbers
-    // and slots, so output is bit-identical for any thread count.
-    std::vector<std::pair<std::size_t, json::Value>> run;
-    run.emplace_back(i, std::move(request));
-    ++i;
-    while (i < lines.size() && parseWhatIf(lines[i], &request)) {
-      run.emplace_back(i, std::move(request));
-      ++i;
-    }
-    std::vector<long long> seqs(run.size());
-    for (std::size_t k = 0; k < run.size(); ++k) seqs[k] = ++seq_;
-    const std::size_t chunks =
-        (run.size() + kWhatIfChunk - 1) / kWhatIfChunk;
-    tp.parallelFor(chunks, [&](std::size_t c) {
-      routing::OptuEngine engine(g_, opt_.coyote.lp);
-      const std::size_t begin = c * kWhatIfChunk;
-      const std::size_t end =
-          std::min(run.size(), begin + kWhatIfChunk);
-      for (std::size_t k = begin; k < end; ++k) {
-        json::Value resp;
-        try {
-          resp = handleWhatIf(run[k].second, seqs[k], engine);
-        } catch (const std::exception& e) {
-          resp = errorResponse(seqs[k], run[k].second, e.what());
-        }
-        out[run[k].first] = resp.dump(0);
-      }
-    });
-  }
+  std::vector<std::string> out;
+  out.reserve(lines.size());
+  for (const std::string& line : lines) out.push_back(handleLine(line));
   return out;
 }
 

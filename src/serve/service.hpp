@@ -47,15 +47,15 @@
 // unroutable / failed) or {"error":...}; a client "id" member is echoed
 // back. Malformed lines produce an error response, never daemon death.
 //
-// Determinism: requests are processed in input order. State-changing
-// events run serially on the resident engine (its warm chain is the
-// event history, independent of any thread count). In batch replays
-// (handleScript) maximal runs of consecutive what-if queries fan out
-// over util::ThreadPool in fixed-size chunks -- each chunk owns an
-// OptuEngine whose sessions stay warm across the chunk's queries, the
-// same idiom as failure::FailureEvaluator -- and responses are
-// emitted in input order, so replay output is bit-identical for any
-// COYOTE_THREADS (the contract serve_test pins for 1/2/8).
+// Determinism: requests are processed in input order, one at a time, on
+// the resident engine; its warm chain is the event history, so a
+// response depends only on the requests before it. handleScript is
+// handleLine over each line, so a batch replay answers byte for byte
+// what the stdin daemon answers for the same lines. Requests never fan
+// out over threads; only the optimizer under "reoptimize" (and under
+// construction) runs loops on the process pool that COYOTE_THREADS
+// sizes, and those are bit-identical for any thread count, so responses
+// are too.
 #pragma once
 
 #include <memory>
@@ -72,7 +72,6 @@
 #include "tm/traffic_matrix.hpp"
 #include "tm/uncertainty.hpp"
 #include "util/json.hpp"
-#include "util/thread_pool.hpp"
 
 namespace coyote::serve {
 
@@ -85,9 +84,6 @@ struct ServeOptions {
   tm::PoolOptions pool;
   /// Optimizer options for computing the schemes' intact configs.
   core::CoyoteOptions coyote;
-  /// 0 = the process-wide util::ThreadPool; otherwise a private pool of
-  /// exactly that many threads. Responses are identical either way.
-  unsigned threads = 0;
   /// Schemes kept resident, in response order; empty selects
   /// te::SchemeRegistry::builtin().defaults() (the paper's four).
   std::vector<const te::Scheme*> schemes;
@@ -124,17 +120,10 @@ class TeService {
   /// Handles one protocol line: parse errors become error responses.
   [[nodiscard]] std::string handleLine(const std::string& line);
 
-  /// Batch replay: every line in input order, one response per line.
-  /// Consecutive what-if queries are evaluated concurrently in
-  /// fixed-size chunks (see file comment); output order and content are
-  /// independent of the thread count.
+  /// Batch replay: handleLine over every line in input order, one
+  /// response per line.
   [[nodiscard]] std::vector<std::string> handleScript(
       const std::vector<std::string>& lines);
-
-  /// What-if queries per warm-chain chunk in handleScript. Fixed (not
-  /// derived from the thread count) so responses never depend on
-  /// parallelism.
-  static constexpr int kWhatIfChunk = 4;
 
   [[nodiscard]] long long eventsHandled() const { return seq_; }
   [[nodiscard]] int poolSize() const { return static_cast<int>(pool_.size()); }
@@ -159,14 +148,14 @@ class TeService {
   /// accumulate into reopt_saved_iters_.
   void computeSchemes(bool warm);
   /// Commits `base` and `margin` with their box and corner pool, or
-  /// throws, state untouched, when any of those is non-finite.
+  /// throws, state untouched, when any of those is non-finite or no
+  /// entry of `base` is a positive normal number.
   void setDemandBox(tm::TrafficMatrix base, double margin);
 
   [[nodiscard]] util::json::Value dispatch(const util::json::Value& request,
                                            long long seq);
   [[nodiscard]] util::json::Value handleWhatIf(const util::json::Value& request,
-                                               long long seq,
-                                               routing::OptuEngine& engine) const;
+                                               long long seq);
   /// Canonical edge id for ["A","B"]; throws std::invalid_argument with
   /// a client-facing message for unknown nodes or non-adjacent pairs.
   [[nodiscard]] EdgeId parseLink(const util::json::Value& link) const;
@@ -187,7 +176,6 @@ class TeService {
   /// The resident ruler: unrestricted OPTU whose simplex sessions stay
   /// warm across the whole event stream.
   std::unique_ptr<routing::OptuEngine> engine_;
-  std::unique_ptr<util::ThreadPool> own_pool_;
   long long seq_ = 0;
   long long reopt_saved_iters_ = 0;  ///< see reoptimizeSavedIters()
 };

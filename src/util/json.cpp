@@ -223,6 +223,12 @@ namespace {
 
 class Parser {
  public:
+  /// Deepest array/object nesting a document may have. The parser
+  /// recurses once per level, so an unbounded depth lets one line of
+  /// brackets overflow the stack; no document this repo reads comes
+  /// near the limit.
+  static constexpr int kMaxDepth = 256;
+
   explicit Parser(const std::string& text) : text_(text) {}
 
   Value parseDocument() {
@@ -272,9 +278,15 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parseObject();
-      case '[':
-        return parseArray();
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) +
+               " levels");
+        }
+        Value v = c == '{' ? parseObject() : parseArray();
+        --depth_;
+        return v;
+      }
       case '"':
         return Value(parseString());
       case 't':
@@ -470,6 +482,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 }  // namespace

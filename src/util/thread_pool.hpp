@@ -27,8 +27,8 @@ namespace coyote::util {
 
 class ThreadPool {
  public:
-  /// Largest thread count a pool accepts (COYOTE_THREADS, --threads and
-  /// the constructor alike).
+  /// Largest thread count a pool accepts (COYOTE_THREADS and the
+  /// constructor alike).
   static constexpr unsigned kMaxThreads = 1024;
 
   /// Creates a pool that runs loops on `threads` threads in total

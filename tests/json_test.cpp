@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "util/json.hpp"
 
@@ -205,6 +206,30 @@ TEST(JsonParser, MalformedInputThrows) {
   EXPECT_THROW(parse("1 2"), Error);  // trailing garbage
   EXPECT_THROW(parse("{} []"), Error);
   EXPECT_THROW(parse("\"bad \\x escape\""), Error);
+}
+
+TEST(JsonParser, NestingDepthIsBounded) {
+  // 256 nested arrays/objects parse; one level more is a clean Error
+  // naming the limit, and so is a line of brackets deep enough to
+  // overflow the stack of a recursive parser with no limit.
+  const auto nested = [](int depth) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += i % 2 == 0 ? "[" : "{\"k\":";
+    text += "0";
+    for (int i = depth - 1; i >= 0; --i) text += i % 2 == 0 ? "]" : "}";
+    return text;
+  };
+  const Value deepest = parse(nested(256));
+  EXPECT_EQ(parse(deepest.dump(0)).dump(0), deepest.dump(0));
+  try {
+    (void)parse(nested(257));
+    FAIL() << "parse accepted 257 levels";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 256"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(parse(std::string(200000, '[')), Error);
 }
 
 TEST(JsonEquality, NumbersAndStructure) {

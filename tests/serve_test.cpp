@@ -1,7 +1,8 @@
 // serve::TeService + serve trace generation: protocol round-trips,
-// malformed-input survival, overflow rejection, thread-count bit-identity
-// of replays, agreement with the failure sweep, and the warm-vs-cold LP
-// pivot advantage the resident engine exists for.
+// malformed-input survival, overflow and zero-demand rejection, byte
+// identity of line-by-line and batch replays, agreement with the failure
+// sweep, and the warm-vs-cold LP pivot advantage the resident engine
+// exists for.
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
@@ -35,12 +36,6 @@ ServeOptions quickOptions() {
   opt.pool.pair_hotspots = 2;
   opt.coyote.splitting.iterations = 60;
   return opt;
-}
-
-TeService quickService(const Graph& g, unsigned threads = 0) {
-  ServeOptions opt = quickOptions();
-  opt.threads = threads;
-  return TeService(g, tm::gravityMatrix(g, 1.0), std::move(opt));
 }
 
 json::Value parsed(const std::string& line) { return json::parse(line); }
@@ -255,6 +250,35 @@ TEST(TeService, OverflowingEventsAreRejectedWithoutMutating) {
           .asBool());
 }
 
+TEST(TeService, ZeroDemandMatrixIsRejectedWithoutMutating) {
+  // A scale that underflows every entry would leave no demand to route
+  // and no later scale could recover it; the event is an error instead.
+  const Graph g = topo::runningExample();
+  TeService service(g, tm::gravityMatrix(g, 1.0), quickOptions());
+  const std::string what_if = R"({"op":"what-if","links":[]})";
+  const std::string what_if_before =
+      withoutCounters(service.handleLine(what_if));
+
+  json::Value resp =
+      parsed(service.handleLine(R"({"op":"demand","scale":1e-320})"));
+  EXPECT_FALSE(resp["ok"].asBool());
+  EXPECT_NE(resp["error"].asString().find("zero demand"), std::string::npos)
+      << resp["error"].asString();
+  EXPECT_EQ(withoutCounters(service.handleLine(what_if)), what_if_before);
+  EXPECT_TRUE(
+      parsed(service.handleLine(R"({"op":"reoptimize"})"))["ok"].asBool());
+}
+
+TEST(TeService, DeeplyNestedLineIsAnErrorResponseNotDeath) {
+  const Graph g = topo::runningExample();
+  TeService service(g, tm::gravityMatrix(g, 1.0), quickOptions());
+  json::Value resp = parsed(service.handleLine(std::string(100000, '[')));
+  EXPECT_FALSE(resp["ok"].asBool());
+  EXPECT_NE(resp["error"].asString().find("nesting"), std::string::npos)
+      << resp["error"].asString();
+  EXPECT_TRUE(parsed(service.handleLine(R"({"op":"state"})"))["ok"].asBool());
+}
+
 TEST(TeService, WhatIfMatchesTheFailureSweep) {
   // The daemon and the failure sweep share one post-failure evaluator; with
   // identical pool, margin, schemes and optimizer options, a what-if per
@@ -349,31 +373,33 @@ TEST(ServeTrace, GenerationIsSeededAndDeterministic) {
   EXPECT_GT(reopt, 0);
 }
 
-TEST(TeService, ReplayIsBitIdenticalAcrossThreadCounts) {
-  const Graph g = topo::runningExample();
+TEST(TeService, ScriptReplayMatchesLineByLineReplay) {
+  // handleScript is handleLine over each line: a batch replay answers
+  // byte for byte what the stdin daemon answers, what-if runs included.
+  const Graph g = topo::makeZoo("Abilene");
   const tm::TrafficMatrix base = tm::gravityMatrix(g, 1.0);
   TraceOptions topt;
   topt.events = 60;
-  topt.seed = 3;
+  topt.seed = 1;
   const std::vector<std::string> trace = generateTrace(g, base, topt);
 
-  std::vector<std::string> reference;
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    TeService service = quickService(g, threads);
-    const std::vector<std::string> out = service.handleScript(trace);
-    ASSERT_EQ(out.size(), trace.size()) << threads << " threads";
+  TeService daemon(g, base, quickOptions());
+  std::vector<std::string> by_line;
+  for (const std::string& line : trace) {
+    by_line.push_back(daemon.handleLine(line));
+  }
+  TeService batch(g, base, quickOptions());
+  const std::vector<std::string> by_script = batch.handleScript(trace);
+
+  ASSERT_EQ(by_script.size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    EXPECT_EQ(by_script[i], by_line[i]) << "event " << i + 1 << ": "
+                                        << trace[i];
     // Every trace event produced a well-formed response; the generator's
     // state events never error (it mirrors the service's failed set).
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      json::Value resp = json::parse(out[i]);
-      EXPECT_TRUE(resp["ok"].asBool()) << out[i];
-      EXPECT_EQ(resp["seq"].asNumber(), static_cast<double>(i + 1));
-    }
-    if (reference.empty()) {
-      reference = out;
-    } else {
-      EXPECT_EQ(out, reference) << threads << " threads";
-    }
+    json::Value resp = json::parse(by_script[i]);
+    EXPECT_TRUE(resp["ok"].asBool()) << by_script[i];
+    EXPECT_EQ(resp["seq"].asNumber(), static_cast<double>(i + 1));
   }
 }
 
@@ -407,13 +433,6 @@ TEST(TeService, WarmResidentEngineBeatsColdOnLinkFlaps) {
   EXPECT_GE(warm.solves, cold.solves);
   EXPECT_GE(cold.iterations, warm.iterations * 3 / 2)
       << "warm pivots " << warm.iterations << " vs cold " << cold.iterations;
-}
-
-TEST(TeService, WhatIfChunkIsFixed) {
-  // The chunk size is part of the determinism contract (responses must
-  // not depend on the thread count); a change is a deliberate,
-  // baseline-invalidating decision.
-  EXPECT_EQ(TeService::kWhatIfChunk, 4);
 }
 
 }  // namespace

@@ -8,8 +8,10 @@
 //                                             response line out
 //   coyote_serve --topo Geant --replay t.txt  batch replay: every line of
 //                                             the file, responses to
-//                                             stdout in input order
-//                                             (bit-identical for any
+//                                             stdout in input order,
+//                                             byte-identical to the
+//                                             daemon's answers to the
+//                                             same lines (and for any
 //                                             COYOTE_THREADS)
 //
 // Plus trace generation (the replay inputs CI and the tests use):
@@ -35,7 +37,6 @@
 #include "serve/trace.hpp"
 #include "util/env.hpp"
 #include "util/parse.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -57,10 +58,6 @@ int usage(const char* argv0, int code) {
                "  --margin <x>       initial uncertainty margin, a finite "
                "number >= 1\n"
                "                     (default 2.0)\n"
-               "  --threads <n>      private thread-pool size in [0, 1024]; "
-               "0 (default)\n"
-               "                     uses the process pool "
-               "(COYOTE_THREADS)\n"
                "\n"
                "Modes (default: stdin/stdout daemon):\n"
                "  --replay <file>    replay a trace file, one response line "
@@ -115,7 +112,6 @@ int main(int argc, char** argv) {
   exp::DemandSpec demand;
   std::string schemes_csv;
   double margin = 2.0;
-  unsigned threads = 0;
   std::string replay_file;
   int generate = -1;
   std::uint64_t seed = 1;
@@ -151,13 +147,6 @@ int main(int argc, char** argv) {
       schemes_csv = next();
     } else if (arg == "--margin") {
       margin = marginFlag(next(), arg);
-    } else if (arg == "--threads") {
-      try {
-        threads = util::ThreadPool::parseThreadCount(next(), "--threads");
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
     } else if (arg == "--replay") {
       replay_file = next();
     } else if (arg == "--generate") {
@@ -194,7 +183,6 @@ int main(int argc, char** argv) {
 
     serve::ServeOptions opt;
     opt.margin = margin;
-    opt.threads = threads;
     opt.coyote.lp.cold = util::envFlag("COYOTE_LP_COLD");
     opt.schemes = te::SchemeRegistry::builtin().parseList(schemes_csv);
 
