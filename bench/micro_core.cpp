@@ -2,6 +2,7 @@
 // throughput, lie synthesis, split apportionment, fluid-simulator steps.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -14,6 +15,7 @@
 #include "routing/ecmp.hpp"
 #include "routing/evaluator.hpp"
 #include "routing/optu.hpp"
+#include "routing/propagation.hpp"
 #include "routing/worst_case.hpp"
 #include "sim/fluid.hpp"
 #include "tm/traffic_matrix.hpp"
@@ -73,16 +75,17 @@ BENCHMARK(BM_SplittingOptimizerIterationsGeant)
     ->Arg(200)
     ->Unit(benchmark::kMillisecond);
 
-// PERF evaluation hot path: ratioFor scans the whole pool, one propagation
-// per matrix, distributed over the thread pool. The series sweeps the
-// thread count over a >= 64-matrix pool; acceptance is >= 2x at 4 threads
-// with bit-identical results (cross-checked against the 1-thread run).
-void BM_RatioForThreadScaling(benchmark::State& state) {
-  // Shared across thread-count args: building the pool solves one
-  // normalization LP per matrix and dominates setup time.
+// PERF evaluation hot path: ratioFor scans a >= 64-matrix pool, one
+// propagation per matrix, distributed over util::ThreadPool::global(). Its
+// result is cross-checked against a serial scan in pool order, so it must be
+// bit-identical for any thread count. Measure scaling by running the binary
+// at several COYOTE_THREADS values.
+void BM_RatioFor(benchmark::State& state) {
+  // Built once: the pool solves one normalization LP per matrix, which
+  // dominates setup time.
   static const Graph g = topo::makeZoo("Geant");
   static const auto dags = core::augmentedDagsShared(g);
-  static routing::PerformanceEvaluator* eval = [] {
+  static const routing::PerformanceEvaluator* eval = [] {
     auto* e = new routing::PerformanceEvaluator(g, dags);
     tm::PoolOptions popt;
     popt.random_corners = 48;
@@ -94,11 +97,14 @@ void BM_RatioForThreadScaling(benchmark::State& state) {
   }();
   static const auto cfg = routing::RoutingConfig::uniform(g, dags);
   static const double serial_ratio = [] {
-    eval->setThreads(1);
-    return eval->ratioFor(cfg);
+    double best = 0.0;
+    for (int i = 0; i < eval->size(); ++i) {
+      best = std::max(best,
+                      routing::maxLinkUtilization(g, cfg, eval->matrix(i)));
+    }
+    return best;
   }();
 
-  eval->setThreads(static_cast<unsigned>(state.range(0)));
   for (auto _ : state) {
     const double r = eval->ratioFor(cfg);
     if (r != serial_ratio) {
@@ -110,15 +116,11 @@ void BM_RatioForThreadScaling(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * eval->size());
   state.SetLabel("pool=" + std::to_string(eval->size()) + " matrices");
 }
-BENCHMARK(BM_RatioForThreadScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_RatioFor)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
-void BM_AddPoolThreadScaling(benchmark::State& state) {
+// Pool normalization: one OPTU LP per matrix in warm-start chunks on
+// util::ThreadPool::global().
+void BM_AddPool(benchmark::State& state) {
   const Graph g = topo::makeZoo("Abilene");
   const auto dags = core::augmentedDagsShared(g);
   tm::PoolOptions popt;
@@ -128,20 +130,13 @@ void BM_AddPoolThreadScaling(benchmark::State& state) {
       tm::cornerPool(tm::marginBounds(tm::gravityMatrix(g, 1.0), 2.0), popt);
   for (auto _ : state) {
     routing::PerformanceEvaluator eval(g, dags);
-    eval.setThreads(static_cast<unsigned>(state.range(0)));
     eval.addPool(pool);
     benchmark::DoNotOptimize(eval.size());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(pool.size()));
 }
-BENCHMARK(BM_AddPoolThreadScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AddPool)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // OPTU normalization of a GEANT-sized corner pool: Arg(0) solves every
 // matrix cold (a fresh engine per matrix, the pre-warm-start behavior),

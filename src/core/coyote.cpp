@@ -7,6 +7,13 @@
 #include "routing/worst_case.hpp"
 
 namespace coyote::core {
+namespace {
+
+/// Cutting-plane rounds stop once the exact worst case is within this
+/// relative margin of the pool ratio: the pool already captures it.
+constexpr double kOracleTolerance = 0.02;
+
+}  // namespace
 
 CoyoteResult optimizeAgainstPool(const Graph& g,
                                  routing::PerformanceEvaluator& pool,
@@ -54,7 +61,7 @@ CoyoteResult optimizeAgainstPool(const Graph& g,
         out.routing = cfg;
       }
       const double pool_ratio = pool.ratioFor(cfg);
-      if (wc.ratio <= pool_ratio * (1.0 + opt.oracle_tolerance)) break;
+      if (wc.ratio <= pool_ratio * (1.0 + kOracleTolerance)) break;
       if (pool.addMatrix(wc.demand) < 0) break;  // duplicate/degenerate
       ++out.oracle_rounds_used;
       cfg = optimizeSplitting(g, pool, cfg, opt.splitting, &used);

@@ -32,7 +32,6 @@ struct CoyoteOptions {
   /// Extra cutting-plane rounds driven by the exact slave-LP oracle
   /// (0 = pool-only; exact separation is practical on small networks).
   int oracle_rounds = 0;
-  double oracle_tolerance = 0.02;
   tm::PoolOptions corner_pool;
   tm::ObliviousPoolOptions oblivious_pool;
   lp::SimplexOptions lp;

@@ -12,6 +12,12 @@ namespace {
 
 using routing::RoutingConfig;
 
+/// Initial gradient step; it decays linearly to a tenth over the run.
+constexpr double kLearningRate = 0.35;
+/// Softmax temperature as a fraction of the current max utilization,
+/// annealed linearly from kTemperatureStart to kTemperatureEnd over the run.
+constexpr double kTemperatureStart = 0.15;
+constexpr double kTemperatureEnd = 0.003;
 /// Below this softmax exponent exp() is skipped: exp(-28) ~ 6.9e-13 is
 /// already under the 1e-12 weight cutoff, so the weight would be zeroed.
 constexpr double kExpFloor = -28.0;
@@ -200,8 +206,8 @@ routing::RoutingConfig optimizeSplitting(
     // per matrix; wsum is summed serially in (matrix, edge) order.
     const double anneal = static_cast<double>(iter) / std::max(1, opt.iterations - 1);
     const double tau =
-        umax * (opt.temperature_start +
-                (opt.temperature_end - opt.temperature_start) * anneal);
+        umax * (kTemperatureStart +
+                (kTemperatureEnd - kTemperatureStart) * anneal);
     const double temp = std::max(tau, 1e-9);
     const auto weight = [&](double u) {
       const double x = (u - umax) / temp;
@@ -231,7 +237,7 @@ routing::RoutingConfig optimizeSplitting(
     // and mu == 0).
     // Step size decays over the run so late iterations settle onto the
     // (annealed, nearly hard-max) optimum instead of oscillating.
-    const double lr = opt.learning_rate * (1.0 - 0.9 * anneal);
+    const double lr = kLearningRate * (1.0 - 0.9 * anneal);
     forEach(n, [&](std::size_t t) {
       DestDag& d = dest[t];
       if (d.slots() == 0) return;

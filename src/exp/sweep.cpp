@@ -57,7 +57,6 @@ SchemeRow NetworkSweep::run(double margin) const {
   routing::PerformanceEvaluator pool(g_, dags_, opt_.coyote.lp,
                                      routing::Normalization::kWithinDags,
                                      optu_engine_);
-  if (opt_.threads != 0) pool.setThreads(opt_.threads);
   pool.addPool(tm::cornerPool(box, opt_.pool));
 
   core::CoyoteOptions copt = opt_.coyote;

@@ -57,10 +57,6 @@ struct SweepOptions {
   /// This is what exposes how quickly the base-optimal routing degrades
   /// under uncertainty; affordable up to ~15-node networks.
   bool exact_eval = false;
-  /// 0 = the process-wide util::ThreadPool; otherwise the per-margin pool
-  /// evaluator runs on a private pool of exactly that many threads.
-  /// Results are bit-identical either way (tests sweep this knob).
-  unsigned threads = 0;
 
   SweepOptions() {
     pool.random_corners = 6;
@@ -76,8 +72,9 @@ struct SweepOptions {
 /// re-evaluated under every margin's pool; margin-dependent ones
 /// (COYOTE-pk) are re-optimized per margin. All heavy stages (pool
 /// normalization, PERF evaluation, the optimizer's forward pass, the slave
-/// LPs) run on the shared util::ThreadPool; results are bit-identical for
-/// any thread count.
+/// LPs) run on util::ThreadPool::global(), sized by COYOTE_THREADS;
+/// results are bit-identical for any thread count (the ctest
+/// thread_count_identity compares whole BENCH documents at 1 and 8).
 ///
 /// One routing::OptuEngine is shared by every margin point's evaluator:
 /// the OPTU constraint matrix is built once per (graph, DAG-set,

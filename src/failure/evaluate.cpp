@@ -8,6 +8,7 @@
 #include "routing/propagation.hpp"
 #include "util/percentile.hpp"
 #include "util/require.hpp"
+#include "util/thread_pool.hpp"
 
 namespace coyote::failure {
 
@@ -29,9 +30,6 @@ FailureEvaluator::FailureEvaluator(const Graph& g,
   require(!schemes_.empty(), "empty scheme list");
   intact_ = intactConfigs(g_, dags_, base_, schemes_, opt_.coyote,
                           tm::marginBounds(base_tm, opt_.margin), pool_);
-  if (opt_.threads != 0) {
-    own_pool_ = std::make_unique<util::ThreadPool>(opt_.threads);
-  }
 }
 
 const routing::RoutingConfig& FailureEvaluator::intactRouting(
@@ -160,8 +158,7 @@ FailureSweepResult FailureEvaluator::evaluate(
   // counts) are bit-identical for any COYOTE_THREADS.
   const std::size_t chunks =
       (failures.size() + kFailureChunk - 1) / kFailureChunk;
-  util::ThreadPool& tp = own_pool_ ? *own_pool_ : util::ThreadPool::global();
-  tp.parallelFor(chunks, [&](std::size_t c) {
+  util::ThreadPool::global().parallelFor(chunks, [&](std::size_t c) {
     routing::OptuEngine engine(g_, opt_.coyote.lp);  // unrestricted OPTU
     const std::size_t begin = c * kFailureChunk;
     const std::size_t end =

@@ -26,8 +26,9 @@
 // sweeping hundreds of failure variants reuses warm bases (the pivot-count
 // payoff is surfaced in the BENCH lp_* telemetry; coyote.lp.cold disables
 // it for A/B measurement). Failures are fanned out over
-// util::ThreadPool in fixed-size chunks -- each chunk one engine with its
-// own warm chain -- so results are bit-identical for any COYOTE_THREADS.
+// util::ThreadPool::global() in fixed-size chunks -- each chunk one engine
+// with its own warm chain -- so results are bit-identical for any
+// COYOTE_THREADS.
 #pragma once
 
 #include <memory>
@@ -43,7 +44,6 @@
 #include "routing/optu.hpp"
 #include "scheme/registry.hpp"
 #include "tm/uncertainty.hpp"
-#include "util/thread_pool.hpp"
 
 namespace coyote::failure {
 
@@ -55,9 +55,6 @@ struct FailureEvalOptions {
   tm::PoolOptions pool;
   /// Optimizer options for the intact COYOTE schemes.
   core::CoyoteOptions coyote;
-  /// 0 = the process-wide util::ThreadPool; otherwise a private pool of
-  /// exactly that many threads. Results are identical either way.
-  unsigned threads = 0;
   /// Schemes to sweep, in row order; empty selects
   /// te::SchemeRegistry::builtin().defaults() (the paper's four).
   std::vector<const te::Scheme*> schemes;
@@ -168,7 +165,6 @@ class FailureEvaluator {
   std::vector<tm::TrafficMatrix> pool_;  ///< raw box corners (unnormalized)
   /// Parallel to schemes_; disengaged for kReconverge schemes.
   std::vector<std::optional<routing::RoutingConfig>> intact_;
-  std::unique_ptr<util::ThreadPool> own_pool_;
 };
 
 }  // namespace coyote::failure

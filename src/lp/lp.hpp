@@ -115,8 +115,6 @@ struct SimplexOptions {
   int refactor_every = 128;
   /// Switch to Bland's rule after this many non-improving pivots.
   int stall_limit = 2000;
-  double feas_tol = 1e-7;
-  double opt_tol = 1e-8;
   /// Every solve() starts from the all-logical basis: no warm start, so no
   /// dual simplex either. A measurement and debugging mode -- the pivot
   /// delta between a cold and a default run is the warm-start payoff.
@@ -160,7 +158,6 @@ struct LpResult {
   Status status = Status::kIterLimit;
   double objective = 0.0;
   std::vector<double> x;  ///< primal solution in original variable space
-  int iterations = 0;     ///< == stats.iterations (kept for old callers)
   Basis basis;            ///< final basis (valid when status == kOptimal)
   SolveStats stats;
 

@@ -30,18 +30,6 @@ bool nearlyEqual(const tm::TrafficMatrix& a, const tm::TrafficMatrix& b) {
 
 }  // namespace
 
-util::ThreadPool& PerformanceEvaluator::pool() const {
-  return own_pool_ ? *own_pool_ : util::ThreadPool::global();
-}
-
-void PerformanceEvaluator::setThreads(unsigned threads) {
-  threads_ = threads;
-  // Built here, in the only mutating entry point, so the const evaluation
-  // paths (ratioFor/worst) stay safe for concurrent callers.
-  own_pool_ =
-      threads == 0 ? nullptr : std::make_unique<util::ThreadPool>(threads);
-}
-
 double PerformanceEvaluator::normalizationOf(const tm::TrafficMatrix& d) const {
   if (d.total() <= 0.0) return 0.0;
   // The shared engine retains the constraint matrix and basis between
@@ -74,7 +62,8 @@ void PerformanceEvaluator::addPool(const std::vector<tm::TrafficMatrix>& pool) {
   // that fan out over the thread pool (results identical for any thread
   // count). Insertion stays sequential so ordering and deduplication are
   // deterministic.
-  std::vector<double> optu = engine_->utilizationBatch(pool, this->pool());
+  std::vector<double> optu =
+      engine_->utilizationBatch(pool, util::ThreadPool::global());
   for (std::size_t i = 0; i < pool.size(); ++i) {
     if (optu[i] <= 1e-12) continue;
     tm::TrafficMatrix scaled = pool[i];
@@ -100,7 +89,7 @@ std::pair<int, double> PerformanceEvaluator::worst(
   // index-addressed slots in parallel, then reduce serially in pool order
   // so the argmax (ties included) is identical for any thread count.
   std::vector<double> util(pool_.size(), 0.0);
-  pool().parallelFor(pool_.size(), [&](std::size_t i) {
+  util::ThreadPool::global().parallelFor(pool_.size(), [&](std::size_t i) {
     util[i] = maxLinkUtilization(g_, cfg, pool_[i]);
   });
   int arg = -1;

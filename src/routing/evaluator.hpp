@@ -16,7 +16,6 @@
 #include "routing/config.hpp"
 #include "routing/optu.hpp"
 #include "tm/uncertainty.hpp"
-#include "util/thread_pool.hpp"
 
 namespace coyote::routing {
 
@@ -58,7 +57,8 @@ class PerformanceEvaluator {
 
   /// Adds every matrix of a pool (see tm::cornerPool / tm::obliviousPool).
   /// Normalization LPs for distinct matrices are independent and run on
-  /// multiple threads; results keep the pool's order.
+  /// util::ThreadPool::global() (sized by COYOTE_THREADS); results keep
+  /// the pool's order and are bit-identical for any thread count.
   void addPool(const std::vector<tm::TrafficMatrix>& pool);
 
   [[nodiscard]] int size() const { return static_cast<int>(pool_.size()); }
@@ -67,7 +67,8 @@ class PerformanceEvaluator {
     return pool_.at(i);
   }
 
-  /// PERF(cfg, pool) = max_i MxLU(cfg, matrix(i)).
+  /// PERF(cfg, pool) = max_i MxLU(cfg, matrix(i)). The propagations run
+  /// on util::ThreadPool::global(); the reduction is serial in pool order.
   [[nodiscard]] double ratioFor(const RoutingConfig& cfg) const;
 
   /// (pool index, ratio) of the worst matrix for cfg; index -1 if empty.
@@ -76,15 +77,7 @@ class PerformanceEvaluator {
   [[nodiscard]] const Graph& graph() const { return g_; }
   [[nodiscard]] std::shared_ptr<const DagSet> dagsPtr() const { return dags_; }
 
-  /// Caps the threads used by addPool/ratioFor/worst. 0 (the default)
-  /// uses the process-wide util::ThreadPool::global(); any other value
-  /// runs on a private pool of exactly that many threads. Results are
-  /// bit-identical for every setting (reduction order is serial).
-  void setThreads(unsigned threads);
-  [[nodiscard]] unsigned threads() const { return threads_; }
-
  private:
-  util::ThreadPool& pool() const;
   /// OPTU of d under the configured normalization; 0 for zero demand.
   double normalizationOf(const tm::TrafficMatrix& d) const;
 
@@ -92,8 +85,6 @@ class PerformanceEvaluator {
   std::shared_ptr<const DagSet> dags_;
   std::shared_ptr<OptuEngine> engine_;
   std::vector<tm::TrafficMatrix> pool_;
-  unsigned threads_ = 0;
-  std::unique_ptr<util::ThreadPool> own_pool_;
 };
 
 }  // namespace coyote::routing

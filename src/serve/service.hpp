@@ -75,26 +75,13 @@
 
 namespace coyote::serve {
 
-struct ServeOptions {
-  /// Uncertainty margin of the initial evaluation box (movable at
-  /// runtime via the "margin" op).
-  double margin = 2.0;
-  /// Corner-pool shape (small, like the failure sweeps: every matrix
-  /// costs one OPTU re-solve per event).
-  tm::PoolOptions pool;
-  /// Optimizer options for computing the schemes' intact configs.
-  core::CoyoteOptions coyote;
-  /// Schemes kept resident, in response order; empty selects
-  /// te::SchemeRegistry::builtin().defaults() (the paper's four).
-  std::vector<const te::Scheme*> schemes;
-
+/// The failure sweeps' options, since every event is one failure
+/// evaluation: `margin` is the initial box (movable via the "margin" op),
+/// `pool` the corner-pool shape (every matrix costs one OPTU re-solve per
+/// event), `coyote` the optimizer of the intact configs, and `schemes`
+/// the resident schemes in response order.
+struct ServeOptions : failure::FailureEvalOptions {
   ServeOptions() {
-    pool.source_hotspots = false;
-    pool.max_hotspots = 8;
-    pool.random_corners = 4;
-    pool.pair_hotspots = 4;
-    pool.seed = 1;
-    coyote.splitting.iterations = 300;
     // Early stop for the resident optimizer: a "reoptimize" seeded from
     // the previous ratios converges in a fraction of the budget, and the
     // skipped iterations are reported in the serve summary

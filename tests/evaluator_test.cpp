@@ -1,4 +1,4 @@
-// Pool invariants and thread-count determinism of PerformanceEvaluator.
+// Pool invariants of PerformanceEvaluator.
 #include "routing/evaluator.hpp"
 
 #include <gtest/gtest.h>
@@ -117,52 +117,6 @@ TEST(PerformanceEvaluator, WorstReturnsArgmaxOfPerMatrixUtilization) {
     if (i == arg) recomputed = u;
   }
   EXPECT_DOUBLE_EQ(recomputed, ratio);
-}
-
-// --- determinism across thread counts ------------------------------------
-
-TEST(PerformanceEvaluator, AddPoolIsBitIdenticalAcrossThreadCounts) {
-  const AbileneFixture f;
-  const auto pool = f.cornerPool(2.0);
-  std::vector<std::unique_ptr<routing::PerformanceEvaluator>> evals;
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    auto e = std::make_unique<routing::PerformanceEvaluator>(f.g, f.dags);
-    e->setThreads(threads);
-    e->addPool(pool);
-    evals.push_back(std::move(e));
-  }
-  ASSERT_GT(evals[0]->size(), 0);
-  for (std::size_t k = 1; k < evals.size(); ++k) {
-    ASSERT_EQ(evals[k]->size(), evals[0]->size());
-    for (int i = 0; i < evals[0]->size(); ++i) {
-      // operator== compares raw doubles: bit-identical pools, same order.
-      EXPECT_TRUE(evals[k]->matrix(i) == evals[0]->matrix(i))
-          << "threads run " << k << ", matrix " << i;
-    }
-  }
-}
-
-TEST(PerformanceEvaluator, RatioForIsBitIdenticalAcrossThreadCounts) {
-  const AbileneFixture f;
-  routing::PerformanceEvaluator eval(f.g, f.dags);
-  eval.setThreads(1);
-  eval.addPool(f.cornerPool(2.0));
-  ASSERT_GT(eval.size(), 1);
-
-  const auto ecmp = routing::ecmpConfig(f.g, f.dags);
-  const auto uniform = routing::RoutingConfig::uniform(f.g, f.dags);
-  for (const auto* cfg : {&ecmp, &uniform}) {
-    eval.setThreads(1);
-    const auto serial = eval.worst(*cfg);
-    for (const unsigned threads : {2u, 8u}) {
-      eval.setThreads(threads);
-      const auto parallel = eval.worst(*cfg);
-      EXPECT_EQ(parallel.first, serial.first) << threads << " threads";
-      // Bit-identical, not just close: reduction order is serial.
-      EXPECT_EQ(parallel.second, serial.second) << threads << " threads";
-      EXPECT_EQ(eval.ratioFor(*cfg), serial.second) << threads << " threads";
-    }
-  }
 }
 
 // --- require() failure paths ---------------------------------------------

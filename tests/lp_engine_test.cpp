@@ -53,7 +53,6 @@ TEST(SimplexSession, SolveMatchesOneShot) {
   EXPECT_NEAR(warm.objective, 21.0, kTol);
   EXPECT_DOUBLE_EQ(warm.objective, cold.objective);
   EXPECT_FALSE(warm.basis.empty());
-  EXPECT_EQ(warm.iterations, warm.stats.iterations);
 }
 
 TEST(SimplexSession, WarmObjectiveChangeAgreesWithCold) {

@@ -165,34 +165,6 @@ TEST(ScenarioRegistry, ScalingScenariosAreRegistered) {
   EXPECT_EQ(k16->ladder.back().build().numNodes(), 320u);
 }
 
-TEST(ScenarioRegistry, ScalingRowsAreBitIdenticalAcrossThreadCounts) {
-  // The CSR graph core + sparse OPTU templates must not perturb the
-  // thread-count invariance contract (SweepOptions::threads): the same
-  // scaling rung computed on 1, 2 and 8 private threads yields the same
-  // bits, pivots included.
-  const Scenario* smoke = reg().find("scaling-fattree-smoke");
-  ASSERT_NE(smoke, nullptr);
-  const Graph g = smoke->ladder.front().build();
-  const auto dags = core::augmentedDagsShared(g);
-  const tm::TrafficMatrix base = smoke->demand.build(g);
-
-  std::vector<SchemeRow> rows;
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    SweepOptions opt = smoke->sweep;
-    opt.threads = threads;
-    const NetworkSweep sweep(g, dags, base, opt);
-    rows.push_back(sweep.run(smoke->fixed_margin));
-  }
-  ASSERT_EQ(rows[0].ratio.size(), rows[1].ratio.size());
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    for (std::size_t j = 0; j < rows[0].ratio.size(); ++j) {
-      EXPECT_EQ(rows[i].ratio[j], rows[0].ratio[j]) << "scheme " << j;
-    }
-    EXPECT_EQ(rows[i].lp_pivots, rows[0].lp_pivots);
-    EXPECT_EQ(rows[i].lp_solves, rows[0].lp_solves);
-  }
-}
-
 TEST(ScenarioRegistry, EveryScenarioBuildsGraphMatrixAndPool) {
   for (const Scenario& s : reg().all()) {
     SCOPED_TRACE(s.id);

@@ -1,8 +1,8 @@
 // The pluggable TE-scheme API (src/scheme/): registry invariants
 // (duplicate/unsafe/unknown keys), scheme semantics (margin dependence,
 // failure reactions, invcap reweighting), the fibbing round-trip of every
-// built-in scheme's configuration, thread-count bit-identity of a
-// six-scheme sweep, and the runner's dynamic coyote-bench/4 rows.
+// built-in scheme's configuration, and the runner's dynamic
+// coyote-bench/4 rows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -300,39 +300,6 @@ TEST(Schemes, EveryBuiltinConfigRoundTripsThroughSynthesizedLies) {
       // Plain OSPF/ECMP over the substrate weights needs no lies.
       EXPECT_EQ(model.fakeNodeCount(), 0);
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Thread-count bit-identity: a sweep over all six schemes on the smoke
-// scenario's topology must produce identical rows for 1/2/8 threads.
-// ---------------------------------------------------------------------------
-
-TEST(Schemes, SixSchemeSweepIsBitIdenticalAcrossThreadCounts) {
-  const Graph g = topo::runningExample();
-  const auto dags = core::augmentedDagsShared(g);
-  const tm::TrafficMatrix base = tm::uniformMatrix(g, 1.0);
-
-  std::vector<exp::SchemeRow> rows;
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    exp::SweepOptions opt;
-    opt.coyote.splitting.iterations = 150;
-    opt.threads = threads;
-    const exp::NetworkSweep sweep(g, dags, base, opt,
-                                  SchemeRegistry::builtin().all());
-    ASSERT_EQ(sweep.schemes().size(), 6u);
-    rows.push_back(sweep.run(2.0));
-  }
-  const exp::SchemeRow& ref = rows.front();
-  ASSERT_EQ(ref.ratio.size(), 6u);
-  for (std::size_t r = 1; r < rows.size(); ++r) {
-    for (std::size_t i = 0; i < ref.ratio.size(); ++i) {
-      // Bit-identical, not merely close.
-      EXPECT_EQ(ref.ratio[i], rows[r].ratio[i]) << "scheme " << i;
-    }
-    EXPECT_EQ(ref.lp_solves, rows[r].lp_solves);
-    EXPECT_EQ(ref.lp_pivots, rows[r].lp_pivots);
-    EXPECT_EQ(ref.scheme_lp_pivots, rows[r].scheme_lp_pivots);
   }
 }
 

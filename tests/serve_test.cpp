@@ -290,11 +290,7 @@ TEST(TeService, WhatIfMatchesTheFailureSweep) {
   const ServeOptions sopt = quickOptions();
   TeService service(g, base, sopt);
 
-  failure::FailureEvalOptions fopt;
-  fopt.margin = sopt.margin;
-  fopt.pool = sopt.pool;
-  fopt.coyote = sopt.coyote;  // including splitting.patience
-  fopt.schemes = sopt.schemes;
+  const failure::FailureEvalOptions fopt = sopt;  // incl. splitting.patience
   const failure::FailureEvaluator eval(g, core::augmentedDagsShared(g), base,
                                        fopt);
   const std::vector<failure::FailureScenario> failures =
