@@ -300,7 +300,7 @@ routing::RoutingConfig optimizeSplitting(
   // always keep the largest one per (destination, node).
   RoutingConfig cfg(g, init.dagsPtr());
   for (const DestDag& d : dest) {
-    const double* b = &best[d.base];
+    const double* b = best.data() + d.base;  // d.base == size() if no slots
     for (int k = 0; k < d.tails(); ++k) {
       int keep = d.off[k];
       for (int s = d.off[k]; s < d.off[k + 1]; ++s) {

@@ -1,6 +1,8 @@
 #include "failure/evaluate.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "routing/evaluator.hpp"
@@ -86,8 +88,14 @@ FailureOutcome evaluateFailure(
     const std::vector<tm::TrafficMatrix>& pool,
     const std::vector<const te::Scheme*>& schemes,
     const std::vector<std::optional<routing::RoutingConfig>>& intact,
-    const FailureScenario& f, routing::OptuEngine& engine) {
+    const FailureScenario& f, routing::OptuEngine& engine,
+    std::vector<lp::Basis>* bases, const std::vector<double>* floors) {
+  require(bases == nullptr || bases->size() == pool.size(),
+          "one OPTU basis per pool matrix");
+  require(floors == nullptr || floors->size() == pool.size(),
+          "one OPTU floor per pool matrix");
   const int n = static_cast<int>(schemes.size());
+  const std::size_t np = pool.size();
   FailureOutcome out;
   out.label = f.label;
   out.ratio.assign(n, 0.0);
@@ -121,22 +129,61 @@ FailureOutcome evaluateFailure(
     out.routable[s] = routesAllDemands(cfgs[s], base);
   }
 
+  // MxLU of every routable scheme on every pool matrix: propagation only,
+  // and what the floors' upper bounds are made of.
+  std::vector<double> mxlu(np * n, 0.0);  // [j * n + s]
+  for (std::size_t j = 0; j < np; ++j) {
+    for (int s = 0; s < n; ++s) {
+      if (out.routable[s]) {
+        mxlu[j * n + s] =
+            routing::maxLinkUtilization(degraded, cfgs[s], pool[j]);
+      }
+    }
+  }
+  // UB(j,s) = MxLU / floor; a matrix without a positive floor is unbounded.
+  const auto bound = [&](std::size_t j, int s) {
+    const double floor = (*floors)[j];
+    return floor > 0.0 ? mxlu[j * n + s] / floor
+                       : std::numeric_limits<double>::infinity();
+  };
+  std::vector<std::size_t> order(np);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (floors != nullptr) {
+    std::vector<double> best(np, 0.0);
+    for (std::size_t j = 0; j < np; ++j) {
+      for (int s = 0; s < n; ++s) {
+        if (out.routable[s]) best[j] = std::max(best[j], bound(j, s));
+      }
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return best[a] > best[b];
+                     });
+  }
+
   // The common post-failure ruler: unrestricted OPTU on the surviving
   // network, one warm re-solve per pool matrix (the failure entered the
   // engine as a bounds mutation; see OptuEngine::setFailedEdges).
   engine.setFailedEdges(directedEdges(g, f));
-  std::vector<double> optu(pool.size(), 0.0);
-  for (std::size_t j = 0; j < pool.size(); ++j) {
-    optu[j] = engine.utilization(pool[j]);
-  }
-
-  for (std::size_t j = 0; j < pool.size(); ++j) {
-    if (optu[j] <= 0.0) continue;  // zero matrix
+  out.optu.assign(np, 0.0);
+  for (const std::size_t j : order) {
+    if (floors != nullptr) {
+      bool can_raise = false;
+      for (int s = 0; s < n && !can_raise; ++s) {
+        can_raise = out.routable[s] &&
+                    !(bound(j, s) < out.ratio[s] * (1.0 - kFloorPruneTol));
+      }
+      if (!can_raise) continue;
+    }
+    const double optu = bases != nullptr
+                            ? engine.utilization(pool[j], (*bases)[j])
+                            : engine.utilization(pool[j]);
+    out.optu[j] = optu;
+    if (optu <= 0.0) continue;  // zero matrix
     for (int s = 0; s < n; ++s) {
-      if (!out.routable[s]) continue;
-      const double mxlu =
-          routing::maxLinkUtilization(degraded, cfgs[s], pool[j]);
-      out.ratio[s] = std::max(out.ratio[s], mxlu / optu[j]);
+      if (out.routable[s]) {
+        out.ratio[s] = std::max(out.ratio[s], mxlu[j * n + s] / optu);
+      }
     }
   }
   return out;

@@ -28,7 +28,10 @@
 // it for A/B measurement). Failures are fanned out over
 // util::ThreadPool::global() in fixed-size chunks -- each chunk one engine
 // with its own warm chain -- so results are bit-identical for any
-// COYOTE_THREADS.
+// COYOTE_THREADS. The serve daemon instead keeps one OPTU basis per pool
+// matrix across events and passes the last state's OPTU values as floors
+// that let a what-if skip matrices that cannot raise a ratio (see
+// evaluateFailure).
 #pragma once
 
 #include <memory>
@@ -40,6 +43,7 @@
 #include "core/coyote.hpp"
 #include "failure/degrade.hpp"
 #include "failure/scenario.hpp"
+#include "lp/lp.hpp"
 #include "routing/config.hpp"
 #include "routing/optu.hpp"
 #include "scheme/registry.hpp"
@@ -84,6 +88,9 @@ struct FailureOutcome {
   /// though the graph stays connected (kRepairDags schemes only; a
   /// reconverged scheme is always routable on a connected graph).
   std::vector<char> routable;
+  /// OPTU_f of each pool matrix, parallel to the pool: 0 for a matrix the
+  /// floors pruned (see evaluateFailure); empty when not evaluated.
+  std::vector<double> optu;
 };
 
 /// Distribution summary of one scheme's ratios over evaluated failures.
@@ -121,15 +128,35 @@ intactConfigs(
         nullptr,
     int* saved = nullptr);
 
+/// Relative slack of the floor pruning in evaluateFailure: a matrix is
+/// skipped only when its bound is below every ratio by more than this,
+/// so LP round-off in the floors cannot prune a matrix that sets a ratio.
+inline constexpr double kFloorPruneTol = 1e-9;
+
 /// The verdict on failure `f` for `schemes` with intactConfigs() routing
 /// over the raw corner `pool`. `engine` (unrestricted OPTU on g) takes the
 /// failure as a bounds mutation, so calls on one engine re-solve warm.
+///
+/// Without `bases` each pool matrix warm-starts from the engine's previous
+/// solve, whatever it was (the sweeps' per-chunk chains). With `bases`
+/// (one per pool matrix) matrix j starts from (*bases)[j], which is
+/// overwritten with its optimal basis (OptuEngine::utilization(d, basis)).
+///
+/// `floors`, one per pool matrix, are lower bounds on OPTU_f: the OPTU
+/// values of a failed set that `f` contains (OPTU never decreases as links
+/// fail). With them, UB(j,s) = MxLU(cfg_s, pool[j]) / floors[j] bounds
+/// scheme s's ratio on matrix j; matrices are solved in descending
+/// max-over-s UB (ties by index) and matrix j is skipped once
+/// UB(j,s) < ratio_s * (1 - kFloorPruneTol) for every routable s. Without
+/// floors every matrix is solved, in index order.
 [[nodiscard]] FailureOutcome evaluateFailure(
     const Graph& g, const DagSet& dags, const tm::TrafficMatrix& base,
     const std::vector<tm::TrafficMatrix>& pool,
     const std::vector<const te::Scheme*>& schemes,
     const std::vector<std::optional<routing::RoutingConfig>>& intact,
-    const FailureScenario& f, routing::OptuEngine& engine);
+    const FailureScenario& f, routing::OptuEngine& engine,
+    std::vector<lp::Basis>* bases = nullptr,
+    const std::vector<double>* floors = nullptr);
 
 /// Computes the intact schemes once, then sweeps failure sets against
 /// them. One evaluator may run several sweeps (e.g. -fail1 and -srlg).

@@ -202,6 +202,10 @@ class SimplexSolver {
   int addRow(std::vector<Term> terms, Rel rel, double rhs);
 
   /// Installs an externally retained basis ({} resets to a cold start).
+  /// Also restarts the count of rhs edits the dual-simplex gate reads, so
+  /// edits made before the call do not count as damage to `basis`: two
+  /// sessions over the same problem data solve identically after the same
+  /// setBasis, whatever each solved before.
   void setBasis(const Basis& basis);
   [[nodiscard]] const Basis& basis() const;
 

@@ -197,6 +197,13 @@ class SimplexSolver::Impl {
     resetDevex();
     factored_ = false;
     warm_ = true;  // an externally retained basis counts as warm
+    // The next solve depends on the installed basis and the problem data
+    // alone, not on what this session solved before: the rhs edits so far
+    // were measured against the replaced basis (the dual-simplex gate
+    // reads them as damage to the installed one), and the stale primal
+    // values would steer refactorize()'s demotion of dependent columns.
+    rhs_edits_ = 0;
+    xval_.clear();
   }
 
   [[nodiscard]] const Basis& basis() const { return basis_status_; }
@@ -540,13 +547,15 @@ class SimplexSolver::Impl {
     const auto better = [](const ScanHit& a, const ScanHit& b) {
       return a.score != b.score ? a.score > b.score : a.col < b.col;
     };
+    // `better` is a strict total order (ties break on the column id), so
+    // selecting the kCandMax best and sorting only those keeps exactly the
+    // list a full sort would.
     if (static_cast<int>(scan_hits_.size()) > kCandMax) {
-      std::partial_sort(scan_hits_.begin(), scan_hits_.begin() + kCandMax,
-                        scan_hits_.end(), better);
+      std::nth_element(scan_hits_.begin(), scan_hits_.begin() + kCandMax,
+                       scan_hits_.end(), better);
       scan_hits_.resize(kCandMax);
-    } else {
-      std::sort(scan_hits_.begin(), scan_hits_.end(), better);
     }
+    std::sort(scan_hits_.begin(), scan_hits_.end(), better);
     cand_.clear();
     for (const ScanHit& h : scan_hits_) cand_.push_back(h.col);
     *dir = scan_hits_[0].dir;

@@ -41,7 +41,7 @@ double PerformanceEvaluator::normalizationOf(const tm::TrafficMatrix& d) const {
 int PerformanceEvaluator::addMatrix(const tm::TrafficMatrix& d) {
   require(d.numNodes() == g_.numNodes(), "matrix/graph size mismatch");
   const double optu = normalizationOf(d);
-  if (optu <= 1e-12) return -1;
+  if (optu <= kMinNormalization) return -1;
   tm::TrafficMatrix scaled = d;
   scaled.scale(1.0 / optu);
   // Deduplicate: corner pools at margin 1 collapse to the base matrix, and
@@ -65,7 +65,7 @@ void PerformanceEvaluator::addPool(const std::vector<tm::TrafficMatrix>& pool) {
   std::vector<double> optu =
       engine_->utilizationBatch(pool, util::ThreadPool::global());
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (optu[i] <= 1e-12) continue;
+    if (optu[i] <= kMinNormalization) continue;
     tm::TrafficMatrix scaled = pool[i];
     scaled.scale(1.0 / optu[i]);
     bool dup = false;

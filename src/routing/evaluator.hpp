@@ -25,6 +25,12 @@ enum class Normalization {
   kUnrestricted,  ///< by OPTU over all destination-based routings (Sec. IV)
 };
 
+/// Matrices whose OPTU is at most this count as zero demand and are
+/// dropped from an evaluator's pool (addMatrix / addPool). The serve
+/// daemon rejects a demand box that puts a pool matrix here: the
+/// optimizer behind "reoptimize" could not use it.
+inline constexpr double kMinNormalization = 1e-12;
+
 class PerformanceEvaluator {
  public:
   /// `engine` may share a warm OPTU solver across evaluators (one per
@@ -49,9 +55,10 @@ class PerformanceEvaluator {
   }
 
   /// Adds a matrix to the pool: computes OPTU within the DAGs once and
-  /// stores the matrix rescaled so its OPTU equals 1. Matrices with zero
-  /// demand, or equal (after normalization, up to a small relative
-  /// tolerance absorbing LP round-off) to one already pooled, are ignored.
+  /// stores the matrix rescaled so its OPTU equals 1. Matrices with OPTU
+  /// <= kMinNormalization (zero demand), or equal (after normalization, up
+  /// to a small relative tolerance absorbing LP round-off) to one already
+  /// pooled, are ignored.
   /// Returns the pool index, or -1 if ignored.
   int addMatrix(const tm::TrafficMatrix& d);
 

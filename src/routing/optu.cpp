@@ -459,6 +459,31 @@ double OptuEngine::utilization(const tm::TrafficMatrix& d) {
   return solveAlpha(*t.serial, t);
 }
 
+double OptuEngine::utilization(const tm::TrafficMatrix& d,
+                               lp::Basis& basis) {
+  const std::vector<char> active = activeSignature(d);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  Template& t = templateFor(active);
+  applyDemand(*t.serial, t, d);
+  // Installed after the rhs writes: setBasis restarts the rhs-edit count
+  // the dual-simplex gate reads. Those edits were counted against
+  // whichever matrix the session solved last, not against this basis;
+  // the gate then judges the damage by the violated basics alone. A basis
+  // that does not fit is replaced by a start computed from d alone (not
+  // the cached ensureSeed basis, which depends on the first matrix and
+  // failed set this template saw).
+  const std::size_t cols =
+      static_cast<std::size_t>(t.problem.numVars()) + t.problem.numRows();
+  if (basis.status.size() == cols) {
+    t.serial->setBasis(basis);
+  } else {
+    t.serial->setBasis(opt_.cold ? lp::Basis{} : decomposeSeed(t, d, nullptr));
+  }
+  const double alpha = solveAlpha(*t.serial, t);
+  basis = t.serial->basis();
+  return alpha;
+}
+
 std::vector<double> OptuEngine::utilizationBatch(
     const std::vector<tm::TrafficMatrix>& pool, util::ThreadPool& tp) {
   // Group matrices by signature, then cut every group into fixed-size

@@ -20,9 +20,13 @@
 // active-destination signature) and re-solves across pool matrices and
 // margin points by mutating the rhs of a retained lp::SimplexSolver
 // session -- the warm-started basis typically cuts the simplex pivots per
-// matrix by several-fold. Batch solves are fanned out over the thread pool
-// in fixed-size chunks (each chunk one warm-start chain), so every result
-// and pivot count is bit-identical for any thread count.
+// matrix by several-fold. A chain that moves from one matrix to the next
+// changes every conservation rhs, so callers that re-solve the *same*
+// matrices after small changes (the serve daemon's pool, event after
+// event) keep one basis per matrix and pass it to utilization(d, basis).
+// Batch solves are fanned out over the thread pool in fixed-size chunks
+// (each chunk one warm-start chain), so every result and pivot count is
+// bit-identical for any thread count.
 #pragma once
 
 #include <memory>
@@ -59,6 +63,17 @@ class OptuEngine {
   /// active-destination signature. Throws std::runtime_error if the LP is
   /// not optimal, std::invalid_argument if some demand cannot be routed.
   [[nodiscard]] double utilization(const tm::TrafficMatrix& d);
+
+  /// OPTU(d) from the caller's own basis for this matrix instead of the
+  /// previous solve: after d's rhs is written, `basis` is installed when
+  /// it fits d's LP (typically d's optimum at an earlier solve); otherwise
+  /// (empty, or sized for another active-destination signature) the solve
+  /// starts from d's decomposition crossover basis, or all-logical where
+  /// there is none. The optimal basis is written back to `basis`. The
+  /// value depends on d, the failed edges and `basis` alone, not on what
+  /// the engine solved before. Throws like utilization(d).
+  [[nodiscard]] double utilization(const tm::TrafficMatrix& d,
+                                   lp::Basis& basis);
 
   /// OPTU of every matrix, in order. Independent fixed-size chunks of the
   /// batch run on `tp`, each chunk a warm-start chain on a session clone;

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "core/dag_builder.hpp"
 #include "failure/scenario.hpp"
+#include "routing/evaluator.hpp"
 #include "util/require.hpp"
 
 namespace coyote::serve {
@@ -50,25 +52,26 @@ const json::Value& member(const json::Value& request, const char* key) {
 TeService::TeService(Graph g, tm::TrafficMatrix base_tm, ServeOptions opt)
     : g_(std::move(g)),
       dags_(core::augmentedDagsShared(g_)),
-      base_(std::move(base_tm)),
       opt_(std::move(opt)),
-      margin_(opt_.margin),
       schemes_(opt_.schemes.empty()
                    ? te::SchemeRegistry::builtin().defaults()
                    : opt_.schemes) {
-  require(std::isfinite(margin_) && margin_ >= 1.0,
+  require(std::isfinite(opt_.margin) && opt_.margin >= 1.0,
           "margin must be finite and >= 1");
   require(!schemes_.empty(), "empty scheme list");
-  require(base_.numNodes() == g_.numNodes(),
+  require(base_tm.numNodes() == g_.numNodes(),
           "base matrix / graph node count mismatch");
-  setDemandBox(base_, margin_);
-  computeSchemes(/*warm=*/false);
+  state_.pool = demandPool(base_tm, opt_.margin);
+  state_.base = std::move(base_tm);
+  state_.margin = opt_.margin;
+  state_.intact = schemeConfigs(state_);
   engine_ = std::make_unique<routing::OptuEngine>(g_, opt_.coyote.lp);
 }
 
 TeService::~TeService() = default;
 
-void TeService::setDemandBox(tm::TrafficMatrix base, double margin) {
+std::shared_ptr<const std::vector<tm::TrafficMatrix>> TeService::demandPool(
+    const tm::TrafficMatrix& base, double margin) const {
   // An overflow (say, two scale-1e300 events) is an error response, not
   // an inf that poisons every later LP right-hand side. The box's upper
   // corner bounds the base matrix and every pool entry.
@@ -86,26 +89,35 @@ void TeService::setDemandBox(tm::TrafficMatrix base, double margin) {
         "zero demand matrix: no entry of the base matrix is a positive "
         "normal number");
   }
-  pool_ = tm::cornerPool(box, opt_.pool);
-  base_ = std::move(base);
-  margin_ = margin;
+  return std::make_shared<const std::vector<tm::TrafficMatrix>>(
+      tm::cornerPool(box, opt_.pool));
 }
 
-void TeService::computeSchemes(bool warm) {
-  // A warm restart sits next to the optimum (base and margin usually
-  // moved a little), so the patience early stop banks most of the budget.
-  int saved = 0;
-  intact_ = failure::intactConfigs(
-      g_, dags_, base_, schemes_, opt_.coyote,
-      tm::marginBounds(base_, margin_), pool_, warm ? &intact_ : nullptr,
-      warm ? &saved : nullptr);
-  reopt_saved_iters_ += saved;
+std::shared_ptr<const std::vector<std::optional<routing::RoutingConfig>>>
+TeService::schemeConfigs(
+    const State& state,
+    const std::vector<std::optional<routing::RoutingConfig>>* warm_from,
+    int* saved) const {
+  return std::make_shared<
+      const std::vector<std::optional<routing::RoutingConfig>>>(
+      failure::intactConfigs(g_, dags_, state.base, schemes_, opt_.coyote,
+                             tm::marginBounds(state.base, state.margin),
+                             *state.pool, warm_from, saved));
+}
+
+failure::FailureOutcome TeService::evaluate(
+    const State& state, const std::vector<EdgeId>& failed,
+    std::vector<lp::Basis>& bases, const std::vector<double>* floors) {
+  bases.resize(state.pool->size());
+  return failure::evaluateFailure(g_, *dags_, state.base, *state.pool,
+                                  schemes_, *state.intact, {"", failed},
+                                  *engine_, &bases, floors);
 }
 
 std::vector<std::string> TeService::failedLinks() const {
   std::vector<std::string> out;
-  out.reserve(failed_.size());
-  for (const EdgeId link : failed_) {
+  out.reserve(state_.failed.size());
+  for (const EdgeId link : state_.failed) {
     out.push_back(failure::linkLabel(g_, link));
   }
   return out;
@@ -163,15 +175,22 @@ json::Value TeService::handleWhatIf(const json::Value& request,
     throw std::invalid_argument("'links' must be an array of links");
   }
   // The hypothetical failure set: current state plus the queried links.
-  std::vector<EdgeId> combined = failed_;
+  std::vector<EdgeId> combined = state_.failed;
   for (const json::Value& link : links.asArray()) {
     combined.push_back(parseLink(link));
   }
   std::sort(combined.begin(), combined.end());
   combined.erase(std::unique(combined.begin(), combined.end()),
                  combined.end());
-  const failure::FailureOutcome ev = failure::evaluateFailure(
-      g_, *dags_, base_, pool_, schemes_, intact_, {"", combined}, *engine_);
+  // A scratch copy of the memo, discarded afterwards: a what-if never
+  // changes a later answer. The combined set contains the state's failed
+  // links, and OPTU never decreases as links fail, so the state's OPTU
+  // values are floors that let matrices which cannot raise a ratio go
+  // unsolved.
+  std::vector<lp::Basis> bases = state_.bases;
+  const failure::FailureOutcome ev =
+      evaluate(state_, combined, bases,
+               state_.optu.empty() ? nullptr : &state_.optu);
   json::Value resp = envelope(seq, request);
   resp["ok"] = true;
   addEvalPayload(resp, ev, combined);
@@ -193,7 +212,7 @@ json::Value TeService::dispatch(const json::Value& request, long long seq) {
     resp["ok"] = true;
     resp["nodes"] = g_.numNodes();
     resp["links"] = static_cast<int>(failure::physicalLinks(g_).size());
-    resp["margin"] = margin_;
+    resp["margin"] = state_.margin;
     resp["pool_size"] = poolSize();
     resp["events"] = static_cast<long>(seq_);
     json::Value keys = json::Value::array();
@@ -209,14 +228,17 @@ json::Value TeService::dispatch(const json::Value& request, long long seq) {
     return handleWhatIf(request, seq);
   }
 
+  // Every other op changes the state: it builds the next state from a
+  // copy, and commits it (and the memo its evaluation updated) only when
+  // every step succeeded.
+  State next = state_;
+  int saved = 0;
   if (op == "demand") {
     const json::Value* scale = request.find("scale");
     const json::Value* set = request.find("set");
     if (scale == nullptr && set == nullptr) {
       throw std::invalid_argument("'demand' needs 'scale' and/or 'set'");
     }
-    // Validate everything before mutating anything: a half-applied
-    // demand update would corrupt the resident state on error.
     if (scale != nullptr &&
         (!scale->isNumber() || !(scale->asNumber() > 0.0))) {
       throw std::invalid_argument("'scale' must be a positive number");
@@ -251,30 +273,30 @@ json::Value TeService::dispatch(const json::Value& request, long long seq) {
         entries.push_back({{*s, *t}, v});
       }
     }
-    tm::TrafficMatrix base = base_;
-    if (scale != nullptr) base.scale(scale->asNumber());
+    if (scale != nullptr) next.base.scale(scale->asNumber());
     for (const auto& [pair, v] : entries) {
-      base.set(pair.first, pair.second, v);
+      next.base.set(pair.first, pair.second, v);
     }
-    setDemandBox(std::move(base), margin_);
+    next.pool = demandPool(next.base, next.margin);
     resp["ok"] = true;
   } else if (op == "link") {
     const EdgeId link = parseLink(member(request, "link"));
     const json::Value* up = request.find("up");
     const bool restore = up != nullptr && up->isBool() && up->asBool();
-    const auto it = std::lower_bound(failed_.begin(), failed_.end(), link);
-    const bool already = it != failed_.end() && *it == link;
+    std::vector<EdgeId>& failed = next.failed;
+    const auto it = std::lower_bound(failed.begin(), failed.end(), link);
+    const bool already = it != failed.end() && *it == link;
     const std::string label = failure::linkLabel(g_, link);
     if (restore) {
       if (!already) {
         throw std::invalid_argument("link " + label + " is not failed");
       }
-      failed_.erase(it);
+      failed.erase(it);
     } else {
       if (already) {
         throw std::invalid_argument("link " + label + " is already failed");
       }
-      failed_.insert(it, link);
+      failed.insert(it, link);
     }
     resp["ok"] = true;
     resp["link"] = label;
@@ -285,21 +307,41 @@ json::Value TeService::dispatch(const json::Value& request, long long seq) {
         !(value.asNumber() >= 1.0)) {
       throw std::invalid_argument("'value' must be a finite number >= 1");
     }
-    setDemandBox(base_, value.asNumber());
+    next.margin = value.asNumber();
+    next.pool = demandPool(next.base, next.margin);
     resp["ok"] = true;
-    resp["margin"] = margin_;
+    resp["margin"] = next.margin;
   } else if (op == "reoptimize") {
-    computeSchemes(/*warm=*/true);
+    // A warm restart sits next to the optimum (base and margin usually
+    // moved a little), so the patience early stop banks most of the
+    // budget.
+    next.intact = schemeConfigs(next, state_.intact.get(), &saved);
     resp["ok"] = true;
   } else {
     throw std::invalid_argument("unknown op: " + op);
   }
   // Every state-changing event answers with the resident configurations
-  // evaluated on the current failure set.
-  addEvalPayload(resp,
-                 failure::evaluateFailure(g_, *dags_, base_, pool_, schemes_,
-                                          intact_, {"", failed_}, *engine_),
-                 failed_);
+  // evaluated on the next state's failure set, each pool matrix solved
+  // from its memo basis. The new demand box (and with it the memo) is
+  // kept only if no pool matrix drops out of the optimizer's pool
+  // (routing::kMinNormalization): a reoptimize would fail on it.
+  const failure::FailureOutcome ev =
+      evaluate(next, next.failed, next.bases, nullptr);
+  if (op == "demand" || op == "margin") {
+    for (std::size_t j = 0; j < ev.optu.size(); ++j) {
+      if (!(ev.optu[j] > routing::kMinNormalization)) {
+        std::ostringstream msg;
+        msg << "demand too small: pool matrix " << j << " has OPTU "
+            << ev.optu[j] << " <= " << routing::kMinNormalization
+            << ", which the optimizer's pool drops";
+        throw std::invalid_argument(msg.str());
+      }
+    }
+  }
+  next.optu = ev.evaluated ? ev.optu : std::vector<double>{};
+  state_ = std::move(next);
+  reopt_saved_iters_ += saved;
+  addEvalPayload(resp, ev, state_.failed);
   return resp;
 }
 

@@ -158,6 +158,50 @@ TEST(SimplexSession, ExternalBasisWarmStartsAClone) {
   EXPECT_EQ(rb.stats.iterations, 0);  // already optimal
 }
 
+TEST(SimplexSession, SetBasisForgetsTheSolveHistory) {
+  // The basis one rhs edit away from the final data: installed there, it
+  // is dual feasible with a few violated basics (the dual simplex's case).
+  constexpr int kVars = 60;
+  SimplexSolver donor(bandLp(kVars));
+  donor.setRhs(10, 2.0);
+  const LpResult r_donor = donor.solve();
+  ASSERT_EQ(r_donor.status, Status::kOptimal);
+  const Basis b = r_donor.basis;
+
+  // Session a edited every rhs twice since its last solve (away and back,
+  // so its data ends where it began); session b solved another objective
+  // first. Both end on bandLp's data and get the same basis.
+  SimplexSolver a(bandLp(kVars));
+  ASSERT_EQ(a.solve().status, Status::kOptimal);
+  for (int i = 0; i + 2 < kVars; ++i) a.setRhs(i, 4.0);
+  for (int i = 0; i + 2 < kVars; ++i) a.setRhs(i, 5.0);
+  SimplexSolver s(bandLp(kVars));
+  s.setObjective(0, 7.0);
+  ASSERT_EQ(s.solve().status, Status::kOptimal);
+  s.setObjective(0, 1.0);
+
+  a.setBasis(b);
+  s.setBasis(b);
+  const LpResult ra = a.solve();
+  const LpResult rs = s.solve();
+  ASSERT_EQ(ra.status, Status::kOptimal);
+  ASSERT_EQ(rs.status, Status::kOptimal);
+  EXPECT_EQ(ra.objective, rs.objective);
+  EXPECT_EQ(ra.x, rs.x);
+  EXPECT_EQ(ra.basis.status, rs.basis.status);
+  EXPECT_EQ(ra.stats.iterations, rs.stats.iterations);
+  EXPECT_EQ(ra.stats.phase1_iters, rs.stats.phase1_iters);
+  EXPECT_EQ(ra.stats.dual_pivots, rs.stats.dual_pivots);
+  EXPECT_EQ(ra.stats.refactorizations, rs.stats.refactorizations);
+  EXPECT_EQ(ra.stats.pricing_hits, rs.stats.pricing_hits);
+  EXPECT_EQ(ra.stats.degen_rescues, rs.stats.degen_rescues);
+  EXPECT_EQ(ra.stats.lu_updates, rs.stats.lu_updates);
+  EXPECT_EQ(ra.stats.lu_fill, rs.stats.lu_fill);
+  // The repair took the dual path in both: the history's rhs edits were
+  // forgotten along with the basis they were measured against.
+  EXPECT_GT(ra.stats.dual_pivots, 0);
+}
+
 TEST(SimplexSession, StaleBasisAfterBoundFlipIsRepaired) {
   // Install the optimal basis, then change bounds so it is primal
   // infeasible: the composite phase 1 must repair it, not crash.

@@ -1,8 +1,9 @@
 // serve::TeService + serve trace generation: protocol round-trips,
-// malformed-input survival, overflow and zero-demand rejection, byte
-// identity of line-by-line and batch replays, agreement with the failure
-// sweep, and the warm-vs-cold LP pivot advantage the resident engine
-// exists for.
+// malformed-input survival, overflow, zero- and tiny-demand rejection,
+// byte identity of line-by-line and batch replays, state answers that do
+// not depend on interleaved what-ifs, agreement with the failure sweep,
+// what-if pruning by OPTU floors, and the warm-vs-cold LP pivot advantage
+// the resident engine exists for.
 #include "serve/service.hpp"
 
 #include <gtest/gtest.h>
@@ -16,9 +17,13 @@
 #include "core/dag_builder.hpp"
 #include "failure/evaluate.hpp"
 #include "failure/scenario.hpp"
+#include "lp/lp.hpp"
 #include "lp/stats.hpp"
+#include "routing/optu.hpp"
+#include "scheme/registry.hpp"
 #include "serve/trace.hpp"
 #include "tm/traffic_matrix.hpp"
+#include "tm/uncertainty.hpp"
 #include "topo/generator.hpp"
 #include "topo/zoo.hpp"
 #include "util/json.hpp"
@@ -397,6 +402,129 @@ TEST(TeService, ScriptReplayMatchesLineByLineReplay) {
     EXPECT_TRUE(resp["ok"].asBool()) << by_script[i];
     EXPECT_EQ(resp["seq"].asNumber(), static_cast<double>(i + 1));
   }
+}
+
+TEST(TeService, StateEventAnswersDoNotDependOnWhatIfs) {
+  // Every event starts each pool matrix from the state's own OPTU basis,
+  // and a what-if discards the bases it updated, so dropping the what-if
+  // lines from a trace leaves every state event's answer unchanged, byte
+  // for byte apart from its seq.
+  const Graph g = topo::makeZoo("Abilene");
+  const tm::TrafficMatrix base = tm::gravityMatrix(g, 1.0);
+  TraceOptions topt;
+  topt.events = 120;
+  topt.seed = 1;
+  const std::vector<std::string> trace = generateTrace(g, base, topt);
+  std::vector<std::string> state_events;
+  for (const std::string& line : trace) {
+    if (json::parse(line).stringOr("op", "") != "what-if") {
+      state_events.push_back(line);
+    }
+  }
+  ASSERT_LT(state_events.size(), trace.size());
+
+  TeService mixed(g, base, quickOptions());
+  TeService state_only(g, base, quickOptions());
+  const std::vector<std::string> with_what_ifs = mixed.handleScript(trace);
+  const std::vector<std::string> without =
+      state_only.handleScript(state_events);
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (json::parse(trace[i]).stringOr("op", "") == "what-if") continue;
+    ASSERT_LT(k, without.size());
+    EXPECT_TRUE(json::parse(without[k])["ok"].asBool()) << without[k];
+    EXPECT_EQ(withoutCounters(with_what_ifs[i]), withoutCounters(without[k]))
+        << "event " << i + 1 << ": " << trace[i];
+    ++k;
+  }
+  EXPECT_EQ(k, without.size());
+}
+
+TEST(TeService, OptuFloorsPruneWhatIfSolvesWithoutChangingRatios) {
+  // A what-if's failed set contains the state's, so the state's OPTU
+  // values are floors: matrices whose MxLU / floor bound cannot raise any
+  // ratio go unsolved, and the ratios stay those of the full evaluation.
+  const Graph g = topo::makeZoo("Abilene");
+  const tm::TrafficMatrix base = tm::gravityMatrix(g, 1.0);
+  const ServeOptions opt = quickOptions();
+  const std::shared_ptr<const DagSet> dags = core::augmentedDagsShared(g);
+  const std::vector<const te::Scheme*> schemes =
+      te::SchemeRegistry::builtin().defaults();
+  const tm::DemandBounds box = tm::marginBounds(base, opt.margin);
+  const std::vector<tm::TrafficMatrix> pool = tm::cornerPool(box, opt.pool);
+  const auto intact = failure::intactConfigs(g, dags, base, schemes,
+                                             opt.coyote, box, pool);
+  routing::OptuEngine engine(g, opt.coyote.lp);
+
+  // The state: one failed link, evaluated on every matrix.
+  const std::vector<EdgeId> links = failure::physicalLinks(g);
+  const failure::FailureScenario state{"", {links[0]}};
+  std::vector<lp::Basis> bases(pool.size());
+  const failure::FailureOutcome at_state = failure::evaluateFailure(
+      g, *dags, base, pool, schemes, intact, state, engine, &bases);
+  ASSERT_TRUE(at_state.evaluated);
+
+  const auto solved = [](const failure::FailureOutcome& ev) {
+    int count = 0;
+    for (const double v : ev.optu) count += v > 0.0;
+    return count;
+  };
+  int evaluated = 0;
+  int pruned_solves = 0;
+  int full_solves = 0;
+  for (std::size_t i = 1; i < links.size(); ++i) {
+    const failure::FailureScenario what_if{"", {links[0], links[i]}};
+    std::vector<lp::Basis> pruned_bases = bases;
+    std::vector<lp::Basis> full_bases = bases;
+    const failure::FailureOutcome pruned = failure::evaluateFailure(
+        g, *dags, base, pool, schemes, intact, what_if, engine, &pruned_bases,
+        &at_state.optu);
+    const failure::FailureOutcome full = failure::evaluateFailure(
+        g, *dags, base, pool, schemes, intact, what_if, engine, &full_bases);
+    ASSERT_EQ(pruned.evaluated, full.evaluated);
+    if (!full.evaluated) continue;
+    ++evaluated;
+    EXPECT_EQ(pruned.routable, full.routable);
+    for (std::size_t s = 0; s < schemes.size(); ++s) {
+      if (!full.routable[s]) continue;
+      EXPECT_NEAR(pruned.ratio[s], full.ratio[s], 1e-9 * full.ratio[s])
+          << schemes[s]->key() << " on link " << i;
+    }
+    EXPECT_EQ(solved(full), static_cast<int>(pool.size()));
+    EXPECT_LE(solved(pruned), solved(full)) << "link " << i;
+    pruned_solves += solved(pruned);
+    full_solves += solved(full);
+  }
+  EXPECT_GT(evaluated, 0);
+  EXPECT_LT(pruned_solves, full_solves);
+}
+
+TEST(TeService, TinyDemandIsRejectedAndLeavesNoTrace) {
+  // A scale that keeps the entries normal but drives a pool matrix's OPTU
+  // to <= routing::kMinNormalization would leave the optimizer an empty
+  // pool; the event is refused and the state (memo included) is kept.
+  const Graph g = topo::runningExample();
+  const tm::TrafficMatrix base = tm::gravityMatrix(g, 1.0);
+  const std::string link_down =
+      R"({"op":"link","link":["s1","s2"],"up":false})";
+  const std::string margin = R"({"op":"margin","value":2.5})";
+
+  TeService service(g, base, quickOptions());
+  TeService reference(g, base, quickOptions());
+  ASSERT_TRUE(parsed(service.handleLine(margin))["ok"].asBool());
+  ASSERT_TRUE(parsed(reference.handleLine(margin))["ok"].asBool());
+
+  json::Value resp =
+      parsed(service.handleLine(R"({"op":"demand","scale":1e-300})"));
+  EXPECT_FALSE(resp["ok"].asBool());
+  EXPECT_NE(resp["error"].asString().find("demand too small"),
+            std::string::npos)
+      << resp["error"].asString();
+
+  EXPECT_EQ(withoutCounters(service.handleLine(link_down)),
+            withoutCounters(reference.handleLine(link_down)));
+  EXPECT_TRUE(
+      parsed(service.handleLine(R"({"op":"reoptimize"})"))["ok"].asBool());
 }
 
 TEST(TeService, WarmResidentEngineBeatsColdOnLinkFlaps) {
